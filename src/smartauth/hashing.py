@@ -3,15 +3,17 @@
 Every protocol value is a fixed-width digest.  Multi-part hash inputs are
 framed with a 4-byte big-endian length prefix per part before hashing, so
 two different part lists can never collide by concatenation (``h(a, b)``
-and ``h(ab)`` see different input bytes).  Toy digest widths (1 and 2
-bytes) exist only so oracle tests can enumerate the full value space.
+and ``h(ab)`` see different input bytes).  The framing lives only in
+``encode_parts``, which takes ``bytes`` and ``Digest`` parts alike.  Toy
+digest widths (1 and 2 bytes) exist only so oracle tests can enumerate the
+full value space.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 SALT_SIZE = 16
@@ -32,7 +34,7 @@ class OversizedPartError(ValueError):
     """Raised when a hash-input part does not fit a 4-byte length prefix."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Digest:
     """An immutable fixed-width byte string supporting XOR masking."""
 
@@ -41,11 +43,11 @@ class Digest:
     def __xor__(self, other: "Digest") -> "Digest":
         if not isinstance(other, Digest):
             return NotImplemented
-        if len(self.value) != len(other.value):
-            raise DigestLengthError(
-                f"cannot xor digests of {len(self.value)} and {len(other.value)} bytes"
-            )
-        return Digest(bytes(a ^ b for a, b in zip(self.value, other.value)))
+        width = len(self.value)
+        if width != len(other.value):
+            raise DigestLengthError(f"cannot xor digests of {width} and {len(other.value)} bytes")
+        mixed = int.from_bytes(self.value, "big") ^ int.from_bytes(other.value, "big")
+        return Digest(mixed.to_bytes(width, "big"))
 
     def hex(self) -> str:
         return self.value.hex()
@@ -64,17 +66,21 @@ class Digest:
         return cls(bytes(size))
 
 
-def encode_parts(parts: "list[bytes] | tuple[bytes, ...]") -> bytes:
-    """Frame a sequence of byte strings into one unambiguous input.
+def encode_parts(parts: "Iterable[bytes | Digest]") -> bytes:
+    """Frame a sequence of ``bytes`` or ``Digest`` parts into one unambiguous input.
 
     Each part is preceded by its length as a 4-byte big-endian integer,
-    which makes the encoding injective over part lists.
+    which makes the encoding injective over part lists.  A ``Digest``
+    frames exactly like its ``value`` bytes.
     """
     chunks = []
     for part in parts:
-        if len(part) > MAX_PART_SIZE:
-            raise OversizedPartError(f"part of {len(part)} bytes exceeds the length prefix")
-        chunks.append(struct.pack(">I", len(part)))
+        if isinstance(part, Digest):
+            part = part.value
+        size = len(part)
+        if size > MAX_PART_SIZE:
+            raise OversizedPartError(f"part of {size} bytes exceeds the length prefix")
+        chunks.append(size.to_bytes(4, "big"))
         chunks.append(part)
     return b"".join(chunks)
 
@@ -104,7 +110,8 @@ class Hasher:
     """Hash front end with a per-instance invocation counter.
 
     ``hash`` accepts any mix of ``bytes`` and ``Digest`` parts, frames
-    them, and truncates sha256 to the configured width.  The counter
+    them with ``encode_parts`` (the only place that knows the framing),
+    and truncates sha256 to the configured width.  The counter
     increments by exactly one per ``hash`` call while counting is
     enabled; ``hash_uncounted`` computes the same digest without
     touching the counter (used for the biometric gate, which the cost
@@ -114,10 +121,7 @@ class Hasher:
     def __init__(self, config: HashConfig | None = None) -> None:
         self.config = config or HashConfig()
         self.count = 0
-
-    @property
-    def digest_size(self) -> int:
-        return self.config.digest_size
+        self.digest_size = self.config.digest_size
 
     def hash(self, *parts: "bytes | Digest") -> Digest:
         if self.config.count_calls:
@@ -125,9 +129,7 @@ class Hasher:
         return self.hash_uncounted(*parts)
 
     def hash_uncounted(self, *parts: "bytes | Digest") -> Digest:
-        raw = [bytes(p) if isinstance(p, Digest) else p for p in parts]
-        full = hashlib.sha256(encode_parts(raw)).digest()
-        return Digest(full[: self.digest_size])
+        return Digest(hashlib.sha256(encode_parts(parts)).digest()[: self.digest_size])
 
     def reset_count(self) -> None:
         self.count = 0

@@ -9,6 +9,8 @@ small line-oriented text format.
 
 from __future__ import annotations
 
+import codecs
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -128,23 +130,18 @@ def _escape_id(identity: bytes) -> str:
     return "".join(out)
 
 
-def _unescape_id(text: str, line_no: int) -> bytes:
-    out = bytearray()
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            if i + 3 >= len(text) or text[i + 1] != "x":
-                raise SnapshotError(line_no, "bad identity escape")
-            try:
-                out.append(int(text[i + 2 : i + 4], 16))
-            except ValueError:
-                raise SnapshotError(line_no, "bad identity escape") from None
-            i += 4
-        else:
-            out.append(ord(ch))
-            i += 1
-    return bytes(out)
+# Canonical snapshot text, exactly what the writer produces: an identity keeps
+# printable 7-bit bytes other than ``\`` and writes every other byte (0x00-0x20,
+# 0x5c, 0x7f-0xff) as a lowercase ``\xhh`` escape; a nonce is lowercase hex.
+# The identity pattern is written as plain-run (escape plain-run)* because a
+# per-character alternation makes the regex several times slower.
+_PLAIN_RUN = r"[\x21-\x5b\x5d-\x7e]*"
+_ID_RE = re.compile(
+    rf"{_PLAIN_RUN}(?:\\x(?:[01][0-9a-f]|20|5c|7f|[89a-f][0-9a-f]){_PLAIN_RUN})*"
+)
+# Looked up once: ``str.decode("unicode_escape")`` repeats the codec lookup
+# on every call, which costs more than the decoding itself.
+_decode_escapes = codecs.getdecoder("unicode_escape")
 
 
 def save_replay_db(server: ServerState, path: "str | Path") -> None:
@@ -156,7 +153,12 @@ def save_replay_db(server: ServerState, path: "str | Path") -> None:
 
 
 def load_replay_db(path: "str | Path") -> dict[bytes, Digest]:
-    """Parse a snapshot back into a replay map; strict, with line numbers."""
+    """Parse a snapshot back into a replay map; strict, with line numbers.
+
+    Identities and nonces are accepted only in the canonical form
+    ``save_replay_db`` writes; anything else raises ``SnapshotError``
+    naming the offending line.
+    """
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or lines[0] != SNAPSHOT_HEADER:
@@ -169,13 +171,17 @@ def load_replay_db(path: "str | Path") -> dict[bytes, Digest]:
         if line.count("\t") != 1:
             raise SnapshotError(line_no, "expected identity<TAB>hex")
         id_text, hex_text = line.split("\t")
-        user_id = _unescape_id(id_text, line_no)
+        if not _ID_RE.fullmatch(id_text):
+            raise SnapshotError(line_no, "identity is not in canonical escaped form")
+        user_id = _decode_escapes(id_text)[0].encode("latin-1")
         try:
             raw = bytes.fromhex(hex_text)
         except ValueError:
             raise SnapshotError(line_no, "bad nonce hex") from None
         if not raw:
             raise SnapshotError(line_no, "empty nonce")
+        if raw.hex() != hex_text:
+            raise SnapshotError(line_no, "nonce hex is not in canonical form")
         if width is None:
             width = len(raw)
         elif len(raw) != width:

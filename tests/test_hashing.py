@@ -7,7 +7,7 @@ import pytest
 from smartauth import Digest, DigestRng, HashConfig, Hasher
 from smartauth.hashing import DigestLengthError, OversizedPartError, encode_parts
 
-from support import raw_hash
+from support import raw_hash, xor_bytes
 
 
 def test_frame_single_part():
@@ -42,6 +42,16 @@ def test_oversized_part_rejected():
 
     with pytest.raises(OversizedPartError):
         encode_parts([Huge()])
+    hasher = Hasher()
+    with pytest.raises(OversizedPartError):
+        hasher.hash(b"x", Huge())
+    with pytest.raises(OversizedPartError):
+        hasher.hash_uncounted(Huge())
+
+
+def test_frame_digest_part_same_as_its_bytes():
+    assert encode_parts([Digest(b"A")]) == encode_parts([b"A"])
+    assert encode_parts((b"", Digest(b"\x00" * 32))) == encode_parts([b"", b"\x00" * 32])
 
 
 def test_hash_matches_raw_reference():
@@ -89,6 +99,28 @@ def test_xor_associative_sampled():
     for _ in range(20000):
         a, b, c = (Digest(rnd.randbytes(1)) for _ in range(3))
         assert (a ^ b) ^ c == a ^ (b ^ c)
+
+
+@pytest.mark.parametrize("width", [1, 2, 32])
+def test_xor_matches_bytewise_reference(width):
+    rnd = random.Random(width)
+    for _ in range(500):
+        a, b = rnd.randbytes(width), rnd.randbytes(width)
+        assert (Digest(a) ^ Digest(b)).value == xor_bytes(a, b)
+
+
+def test_xor_keeps_width_with_leading_zero_bytes():
+    assert Digest(b"\x80\x00") ^ Digest(b"\x80\x00") == Digest(b"\x00\x00")
+    assert (Digest(b"\x01" * 32) ^ Digest(b"\x01" * 31 + b"\x00")).value == bytes(31) + b"\x01"
+
+
+def test_xor_with_non_digest_raises_type_error():
+    with pytest.raises(TypeError):
+        Digest(b"a") ^ b"a"
+
+
+def test_digest_is_slotted():
+    assert not hasattr(Digest(b"x"), "__dict__")
 
 
 def test_xor_width_mismatch_raises():

@@ -76,7 +76,11 @@ def test_snapshot_round_trip(tmp_path):
     text = path.read_text()
     assert text.splitlines()[0] == "smartauth-replaydb v1"
     assert text.splitlines()[1].startswith("alice\t")  # sorted by identity
-    assert load_replay_db(path) == server.replay_db
+    loaded = load_replay_db(path)
+    assert loaded == server.replay_db
+    resaved = tmp_path / "resaved.snapshot"
+    save_replay_db(_server(loaded), resaved)
+    assert resaved.read_text() == text
 
 
 def test_snapshot_escapes_odd_identities(tmp_path):
@@ -113,6 +117,39 @@ def test_snapshot_parse_errors_carry_line_numbers(tmp_path, content, line_no):
         load_replay_db(path)
     assert err.value.line_no == line_no
     assert f"line {line_no}" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "bad,canonical",
+    [
+        ("caf\u20ac\t0011", "caf\\xe2\\x82\\xac\t0011"),  # non-ASCII identity text
+        ("a\\x+1\t0011", "a\\x01\t0011"),  # sign inside an escape
+        ("a\\x0\t0011", "a\\x00\t0011"),  # truncated escape
+        ("a\\x41\t0011", "aA\t0011"),  # escape of a byte the writer keeps plain
+        ("a\\x5C\t0011", "a\\x5c\t0011"),  # uppercase escape digits
+        ("a b\t0011", "a\\x20b\t0011"),  # raw space
+        ("alice\t00AB", "alice\t00ab"),  # uppercase nonce hex
+        ("alice\t00 11", "alice\t0011"),  # space inside nonce hex
+        ("alice\t001", "alice\t0011"),  # odd number of hex digits
+    ],
+    ids=[
+        "non-ascii", "signed-escape", "truncated-escape", "needless-escape",
+        "uppercase-escape", "raw-space", "uppercase-hex", "spaced-hex", "odd-hex",
+    ],
+)
+def test_snapshot_rejects_non_canonical_text(tmp_path, bad, canonical):
+    header_and_first = "smartauth-replaydb v1\n0first\t2233\n"
+    path = tmp_path / "bad.snapshot"
+    path.write_text(header_and_first + bad + "\n", encoding="utf-8")
+    with pytest.raises(SnapshotError) as err:
+        load_replay_db(path)
+    assert err.value.line_no == 3
+
+    text = header_and_first + canonical + "\n"
+    path.write_text(text, encoding="utf-8")
+    resaved = tmp_path / "resaved.snapshot"
+    save_replay_db(_server(load_replay_db(path)), resaved)
+    assert resaved.read_text(encoding="utf-8") == text
 
 
 def test_snapshot_duplicate_reported_at_second_occurrence(tmp_path):
