@@ -6,7 +6,7 @@ through an adversarial channel and returns a deterministic transcript.
 """
 
 from . import baseline, improved
-from .channel import AdversarialChannel, Drop, Event, Tamper, Transcript
+from .channel import AdversarialChannel, Event, Tamper, Transcript
 from .hashing import Digest, DigestRng, HashConfig, Hasher
 from .runtime import (
     Reason,
@@ -37,7 +37,6 @@ __all__ = [
     "CostReport",
     "Digest",
     "DigestRng",
-    "Drop",
     "Event",
     "EXPECTED_VERDICTS",
     "HashConfig",

@@ -5,23 +5,15 @@ checked locally, so a wrong password still produces a well-formed wire
 message that the server rejects.  Password change rewrites the sealed key
 unconditionally, which bricks the card when the old password was wrong.
 Both behaviours are intentional; the attack scenarios depend on them.
+The protocol steps live in ``protocol``; this module names the types.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .hashing import Digest, DigestRng, Hasher
-from .runtime import (
-    Reason,
-    Rejected,
-    RegistrationCenter,
-    ServerState,
-    check_credentials,
-    check_id_format,
-    check_password,
-    replay_check_and_store,
-)
+from .hashing import Digest
+from .protocol import ClientSession, Scheme, ServerSession  # noqa: F401  (sessions re-exported)
 
 
 @dataclass(frozen=True)
@@ -48,146 +40,10 @@ class AuthResponse:
     server_checksum: Digest
 
 
-@dataclass
-class ClientSession:
-    """Card-side working values kept between the two protocol messages."""
+SCHEME = Scheme(Card, LoginMessage, AuthResponse, hardened=False)
 
-    pw_digest: Digest
-    identity_key: Digest
-    nonce_tag: Digest
-    client_nonce: Digest
-    server_nonce: Digest | None = None  # recovered while verifying the response
-
-
-@dataclass
-class ServerSession:
-    """Server-side working values; recovered fields match the client's only in honest runs."""
-
-    identity_key: Digest
-    client_nonce: Digest
-    nonce_tag: Digest
-    pw_digest: Digest
-    server_nonce: Digest
-    session_key: Digest
-
-
-def register(
-    hasher: Hasher,
-    rc: RegistrationCenter,
-    user_id: bytes,
-    password: bytes,
-    biometric: bytes,
-    rng: DigestRng,
-) -> Card:
-    """Enrol a user and issue a card (modelled as a direct secure call)."""
-    check_credentials(user_id, password, biometric)
-    salt = rng.salt()
-    pw_digest = hasher.hash(salt, password)
-    bio_template = hasher.hash(biometric)
-    verifier = hasher.hash(pw_digest, bio_template)
-    identity_key = hasher.hash(user_id, rc.master_secret)
-    return Card(
-        bio_template=bio_template,
-        sealed_key=identity_key ^ verifier,
-        shared_secret=rc.shared_secret,
-        salt=salt,
-    )
-
-
-def login(
-    hasher: Hasher,
-    card: Card,
-    user_id: bytes,
-    password: bytes,
-    bio_sample: bytes,
-    rng: DigestRng,
-) -> tuple[LoginMessage, ClientSession]:
-    """Build a login request; only the biometric is checked locally."""
-    if hasher.hash_uncounted(bio_sample) != card.bio_template:
-        raise Rejected(Reason.BIOMETRIC_MISMATCH)
-    pw_digest = hasher.hash(card.salt, password)
-    verifier = hasher.hash(pw_digest, card.bio_template)
-    # A wrong password yields a wrong verifier and hence a garbled identity
-    # key, but the card has no stored value to compare against and sends
-    # the message regardless.
-    identity_key = card.sealed_key ^ verifier
-    client_nonce = rng.digest()
-    masked_nonce = identity_key ^ client_nonce
-    nonce_tag = hasher.hash(card.shared_secret, client_nonce)
-    masked_pw_digest = pw_digest ^ nonce_tag
-    checksum = hasher.hash(masked_nonce, nonce_tag, masked_pw_digest)
-    message = LoginMessage(user_id, masked_nonce, masked_pw_digest, checksum)
-    session = ClientSession(pw_digest, identity_key, nonce_tag, client_nonce)
-    return message, session
-
-
-def authenticate(
-    hasher: Hasher,
-    server: ServerState,
-    message: LoginMessage,
-    rng: DigestRng,
-) -> tuple[AuthResponse, ServerSession]:
-    """Check a login request and answer it; raises Rejected on any failure."""
-    if not check_id_format(message.user_id):
-        raise Rejected(Reason.BAD_ID_FORMAT)
-    identity_key = hasher.hash(message.user_id, server.master_secret)
-    client_nonce = message.masked_nonce ^ identity_key
-    nonce_tag = hasher.hash(server.shared_secret, client_nonce)
-    if hasher.hash(message.masked_nonce, nonce_tag, message.masked_pw_digest) != message.checksum:
-        raise Rejected(Reason.CHECKSUM_MISMATCH)
-    # The nonce is stored only after the message authenticated, so forged
-    # messages cannot poison the replay database.
-    if not replay_check_and_store(server, message.user_id, client_nonce):
-        raise Rejected(Reason.REPLAY)
-    pw_digest = message.masked_pw_digest ^ nonce_tag
-    server_nonce = rng.digest()
-    masked_server_nonce = (
-        hasher.hash(pw_digest, server.server_id, server.shared_secret) ^ nonce_tag ^ server_nonce
-    )
-    server_checksum = hasher.hash(identity_key, pw_digest, server.shared_secret, server_nonce)
-    session_key = hasher.hash(pw_digest, nonce_tag, server_nonce, server.server_id)
-    response = AuthResponse(masked_server_nonce, server_checksum)
-    session = ServerSession(
-        identity_key, client_nonce, nonce_tag, pw_digest, server_nonce, session_key
-    )
-    return response, session
-
-
-def verify_server(
-    hasher: Hasher,
-    session: ClientSession,
-    card: Card,
-    response: AuthResponse,
-    server_id: bytes,
-) -> Digest:
-    """Verify the server's answer and derive the session key."""
-    blind = hasher.hash(session.pw_digest, server_id, card.shared_secret)
-    server_nonce = blind ^ session.nonce_tag ^ response.masked_server_nonce
-    expected = hasher.hash(
-        session.identity_key, session.pw_digest, card.shared_secret, server_nonce
-    )
-    if response.server_checksum != expected:
-        raise Rejected(Reason.SERVER_AUTH_FAILED)
-    session.server_nonce = server_nonce
-    return hasher.hash(session.pw_digest, session.nonce_tag, server_nonce, server_id)
-
-
-def change_password(
-    hasher: Hasher,
-    card: Card,
-    bio_sample: bytes,
-    old_password: bytes,
-    new_password: bytes,
-) -> Card:
-    """Re-seal the card key under a new password, with no old-password check.
-
-    The update is applied even when the entered old password is wrong:
-    nothing on the card can detect it, and the sealed key then unseals to
-    garbage forever after.
-    """
-    if hasher.hash_uncounted(bio_sample) != card.bio_template:
-        raise Rejected(Reason.BIOMETRIC_MISMATCH)
-    check_password(new_password)
-    old_verifier = hasher.hash(hasher.hash(card.salt, old_password), card.bio_template)
-    new_verifier = hasher.hash(hasher.hash(card.salt, new_password), card.bio_template)
-    return replace(card, sealed_key=card.sealed_key ^ old_verifier ^ new_verifier)
+register = SCHEME.register
+login = SCHEME.login
+authenticate = SCHEME.authenticate
+verify_server = SCHEME.verify_server
+change_password = SCHEME.change_password

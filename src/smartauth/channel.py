@@ -3,9 +3,8 @@
 Every message between client and server passes through the channel, which
 records a send and a receive event and applies the active adversary
 policy.  The passive policy delivers messages untouched and in order;
-tamper flips one bit of one named field; drop swallows a message; replay
-and inject re-deliver a captured or crafted message on demand.  Every
-adversary action lands in the transcript.
+tamper flips one bit of one named field; replay re-delivers a captured
+message on demand.  Every adversary action lands in the transcript.
 """
 
 from __future__ import annotations
@@ -89,13 +88,6 @@ class Tamper:
     bit_index: int
 
 
-@dataclass(frozen=True)
-class Drop:
-    """Swallow the nth transmitted message (0-based)."""
-
-    index: int = 0
-
-
 def flip_bit(data: bytes, bit_index: int) -> bytes:
     if not 0 <= bit_index < len(data) * 8:
         raise ValueError(f"bit index {bit_index} out of range for {len(data)} bytes")
@@ -117,29 +109,24 @@ def tamper_message(message, field: str, bit_index: int):
 class AdversarialChannel:
     """Synchronous channel between the actors, with one adversary policy.
 
-    ``sent`` counts every message placed on the wire, including replays
-    and injections.  ``captured`` keeps each transmitted message (as the
-    sender offered it) so replay scenarios can resend one verbatim.
+    ``sent`` counts every message placed on the wire, including replays.
+    ``captured`` keeps each transmitted message (as the sender offered
+    it) so replay scenarios can resend one verbatim.
     """
 
-    def __init__(self, transcript: Transcript, policy: "Tamper | Drop | None" = None) -> None:
+    def __init__(self, transcript: Transcript, policy: Tamper | None = None) -> None:
         self.transcript = transcript
         self.policy = policy
         self.captured: list = []
-        self.action_log: list[str] = []
         self.sent = 0
 
     def transmit(self, sender: str, receiver: str, message):
-        """Carry one message; returns what arrives (None if dropped)."""
-        index = len(self.captured)
+        """Carry one message; returns what arrives."""
         self.sent += 1
         self.captured.append(message)
         self.transcript.add(sender, "send", message_fields(message))
         delivered = message
-        if isinstance(self.policy, Drop) and self.policy.index == index:
-            self._act(f"drop:{index}")
-            return None
-        if isinstance(self.policy, Tamper) and hasattr(message, self.policy.field):
+        if self.policy is not None and hasattr(message, self.policy.field):
             delivered = tamper_message(message, self.policy.field, self.policy.bit_index)
             self._act(f"tamper:{self.policy.field}:bit{self.policy.bit_index}")
             self.policy = None  # one flip per scenario
@@ -154,13 +141,5 @@ class AdversarialChannel:
         self.transcript.add(receiver, "receive", message_fields(message))
         return message
 
-    def inject(self, message, receiver: str):
-        """Adversary delivers a message of its own making."""
-        self.sent += 1
-        self._act("inject")
-        self.transcript.add(receiver, "receive", message_fields(message))
-        return message
-
     def _act(self, action: str) -> None:
-        self.action_log.append(action)
         self.transcript.add("adversary", "adversary-action", verdict=action)

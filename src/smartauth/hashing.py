@@ -87,7 +87,7 @@ def encode_parts(parts: "Iterable[bytes | Digest]") -> bytes:
 
 @dataclass(frozen=True)
 class HashConfig:
-    """Hash selection plus whether calls are counted.
+    """Hash selection.
 
     ``algorithm`` is one of ``sha256`` (the default, 32-byte digests) or
     the truncated toy variants ``toy8``/``toy16`` used only by exhaustive
@@ -95,7 +95,6 @@ class HashConfig:
     """
 
     algorithm: str = "sha256"
-    count_calls: bool = True
 
     def __post_init__(self) -> None:
         if self.algorithm not in DIGEST_SIZES:
@@ -112,10 +111,9 @@ class Hasher:
     ``hash`` accepts any mix of ``bytes`` and ``Digest`` parts, frames
     them with ``encode_parts`` (the only place that knows the framing),
     and truncates sha256 to the configured width.  The counter
-    increments by exactly one per ``hash`` call while counting is
-    enabled; ``hash_uncounted`` computes the same digest without
-    touching the counter (used for the biometric gate, which the cost
-    accounting excludes).
+    increments by exactly one per ``hash`` call; ``hash_uncounted``
+    computes the same digest without touching the counter (used for the
+    biometric gate, which the cost accounting excludes).
     """
 
     def __init__(self, config: HashConfig | None = None) -> None:
@@ -124,15 +122,11 @@ class Hasher:
         self.digest_size = self.config.digest_size
 
     def hash(self, *parts: "bytes | Digest") -> Digest:
-        if self.config.count_calls:
-            self.count += 1
+        self.count += 1
         return self.hash_uncounted(*parts)
 
     def hash_uncounted(self, *parts: "bytes | Digest") -> Digest:
         return Digest(hashlib.sha256(encode_parts(parts)).digest()[: self.digest_size])
-
-    def reset_count(self) -> None:
-        self.count = 0
 
 
 class DigestRng:

@@ -6,24 +6,16 @@ the wire; the login message carries the nonce tag so the server can check
 it directly before the checksum; and the response carries a dedicated
 server-nonce tag the client checks first.  Password change verifies the
 old password and updates sealed key and verifier together, so a failed
-attempt leaves the card byte-identical.
+attempt leaves the card byte-identical.  The protocol steps live in
+``protocol``; this module names the types.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .hashing import Digest, DigestRng, Hasher
-from .runtime import (
-    Reason,
-    Rejected,
-    RegistrationCenter,
-    ServerState,
-    check_credentials,
-    check_id_format,
-    check_password,
-    replay_check_and_store,
-)
+from .hashing import Digest
+from .protocol import ClientSession, Scheme, ServerSession  # noqa: F401  (sessions re-exported)
 
 
 @dataclass(frozen=True)
@@ -53,153 +45,13 @@ class AuthResponse:
     server_checksum: Digest
 
 
-@dataclass
-class ClientSession:
-    pw_digest: Digest
-    identity_key: Digest
-    nonce_tag: Digest
-    client_nonce: Digest
-    server_nonce: Digest | None = None      # recovered from the response
-    server_nonce_tag: Digest | None = None  # recomputed tag over the recovered nonce
+SCHEME = Scheme(Card, LoginMessage, AuthResponse, hardened=True)
 
-
-@dataclass
-class ServerSession:
-    identity_key: Digest
-    client_nonce: Digest
-    nonce_tag: Digest
-    pw_digest: Digest
-    server_nonce: Digest
-    session_key: Digest
-
-
-def register(
-    hasher: Hasher,
-    rc: RegistrationCenter,
-    user_id: bytes,
-    password: bytes,
-    biometric: bytes,
-    rng: DigestRng,
-) -> Card:
-    """Enrol a user; identical to the baseline except the verifier is kept."""
-    check_credentials(user_id, password, biometric)
-    salt = rng.salt()
-    pw_digest = hasher.hash(salt, password)
-    bio_template = hasher.hash(biometric)
-    verifier = hasher.hash(pw_digest, bio_template)
-    identity_key = hasher.hash(user_id, rc.master_secret)
-    return Card(
-        bio_template=bio_template,
-        verifier=verifier,
-        sealed_key=identity_key ^ verifier,
-        shared_secret=rc.shared_secret,
-        salt=salt,
-    )
-
-
-def login(
-    hasher: Hasher,
-    card: Card,
-    user_id: bytes,
-    password: bytes,
-    bio_sample: bytes,
-    rng: DigestRng,
-) -> tuple[LoginMessage, ClientSession]:
-    """Build a login request; a wrong password is rejected before the wire."""
-    if hasher.hash_uncounted(bio_sample) != card.bio_template:
-        raise Rejected(Reason.BIOMETRIC_MISMATCH)
-    pw_digest = hasher.hash(card.salt, password)
-    verifier = hasher.hash(pw_digest, card.bio_template)
-    if verifier != card.verifier:
-        raise Rejected(Reason.WRONG_PASSWORD)
-    identity_key = card.sealed_key ^ verifier
-    client_nonce = rng.digest()
-    masked_nonce = identity_key ^ client_nonce
-    nonce_tag = hasher.hash(card.shared_secret, client_nonce)
-    masked_pw_digest = pw_digest ^ nonce_tag
-    checksum = hasher.hash(masked_nonce, nonce_tag, masked_pw_digest)
-    message = LoginMessage(user_id, masked_nonce, nonce_tag, masked_pw_digest, checksum)
-    session = ClientSession(pw_digest, identity_key, nonce_tag, client_nonce)
-    return message, session
-
-
-def authenticate(
-    hasher: Hasher,
-    server: ServerState,
-    message: LoginMessage,
-    rng: DigestRng,
-) -> tuple[AuthResponse, ServerSession]:
-    """Check a login request; the nonce tag is verified before the checksum."""
-    if not check_id_format(message.user_id):
-        raise Rejected(Reason.BAD_ID_FORMAT)
-    identity_key = hasher.hash(message.user_id, server.master_secret)
-    client_nonce = message.masked_nonce ^ identity_key
-    nonce_tag = hasher.hash(server.shared_secret, client_nonce)
-    if nonce_tag != message.nonce_tag:
-        raise Rejected(Reason.NONCE_TAG_MISMATCH)
-    if hasher.hash(message.masked_nonce, nonce_tag, message.masked_pw_digest) != message.checksum:
-        raise Rejected(Reason.CHECKSUM_MISMATCH)
-    if not replay_check_and_store(server, message.user_id, client_nonce):
-        raise Rejected(Reason.REPLAY)
-    pw_digest = message.masked_pw_digest ^ nonce_tag
-    server_nonce = rng.digest()
-    masked_server_nonce = (
-        hasher.hash(pw_digest, server.server_id, server.shared_secret) ^ nonce_tag ^ server_nonce
-    )
-    server_nonce_tag = hasher.hash(server.shared_secret, server_nonce)
-    server_checksum = hasher.hash(identity_key, pw_digest, server.shared_secret, server_nonce)
-    session_key = hasher.hash(pw_digest, nonce_tag, server_nonce, server.server_id)
-    response = AuthResponse(masked_server_nonce, server_nonce_tag, server_checksum)
-    session = ServerSession(
-        identity_key, client_nonce, nonce_tag, pw_digest, server_nonce, session_key
-    )
-    return response, session
-
-
-def verify_server(
-    hasher: Hasher,
-    session: ClientSession,
-    card: Card,
-    response: AuthResponse,
-    server_id: bytes,
-) -> Digest:
-    """Verify the server's answer (nonce tag first) and derive the session key."""
-    blind = hasher.hash(session.pw_digest, server_id, card.shared_secret)
-    server_nonce = blind ^ session.nonce_tag ^ response.masked_server_nonce
-    server_nonce_tag = hasher.hash(card.shared_secret, server_nonce)
-    if server_nonce_tag != response.server_nonce_tag:
-        raise Rejected(Reason.SERVER_NONCE_TAG_MISMATCH)
-    expected = hasher.hash(
-        session.identity_key, session.pw_digest, card.shared_secret, server_nonce
-    )
-    if response.server_checksum != expected:
-        raise Rejected(Reason.SERVER_CHECKSUM_MISMATCH)
-    session.server_nonce = server_nonce
-    session.server_nonce_tag = server_nonce_tag
-    return hasher.hash(session.pw_digest, session.nonce_tag, server_nonce, server_id)
-
-
-def change_password(
-    hasher: Hasher,
-    card: Card,
-    bio_sample: bytes,
-    old_password: bytes,
-    new_password: bytes,
-) -> Card:
-    """Re-seal the card under a new password after checking the old one.
-
-    A wrong old password raises and the card is untouched; on success the
-    sealed key and the verifier are replaced together.
-    """
-    if hasher.hash_uncounted(bio_sample) != card.bio_template:
-        raise Rejected(Reason.BIOMETRIC_MISMATCH)
-    check_password(new_password)
-    old_verifier = hasher.hash(hasher.hash(card.salt, old_password), card.bio_template)
-    if old_verifier != card.verifier:
-        raise Rejected(Reason.WRONG_PASSWORD)
-    identity_key = card.sealed_key ^ old_verifier
-    new_verifier = hasher.hash(hasher.hash(card.salt, new_password), card.bio_template)
-    return replace(card, sealed_key=identity_key ^ new_verifier, verifier=new_verifier)
+register = SCHEME.register
+login = SCHEME.login
+authenticate = SCHEME.authenticate
+verify_server = SCHEME.verify_server
+change_password = SCHEME.change_password
 
 
 def extract_identity_key(card: Card) -> Digest:

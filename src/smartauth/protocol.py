@@ -1,0 +1,243 @@
+"""The challenge-response protocol, written once for both schemes.
+
+A ``Scheme`` names the card and wire types of one scheme and whether it
+is hardened.  The hardened scheme is the original plus three steps that
+always come together: the card stores the password verifier and checks
+it locally, the login message carries the nonce tag for the server to
+check first, and the response carries a server-nonce tag the client
+checks first.  Every other step, hash call and nonce draw is shared.
+
+Each check site reports its decision to an optional ``probe(check,
+failure)`` before acting on it: ``failure`` is ``None`` when the named
+check passed, or the ``Reason`` about to be raised.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+
+from .hashing import Digest, DigestRng, Hasher
+from .runtime import (
+    Reason,
+    Rejected,
+    RegistrationCenter,
+    ServerState,
+    check_credentials,
+    check_id_format,
+    check_password,
+    replay_check_and_store,
+)
+
+Probe = Callable[[str, "Reason | None"], None]
+
+
+@dataclass
+class ClientSession:
+    """Card-side working values kept between the two protocol messages."""
+
+    pw_digest: Digest
+    identity_key: Digest
+    nonce_tag: Digest
+    client_nonce: Digest
+    server_nonce: Digest | None = None      # recovered while verifying the response
+    server_nonce_tag: Digest | None = None  # hardened only: tag over the recovered nonce
+
+
+@dataclass
+class ServerSession:
+    """Server-side working values; recovered fields match the client's only in honest runs."""
+
+    identity_key: Digest
+    client_nonce: Digest
+    nonce_tag: Digest
+    pw_digest: Digest
+    server_nonce: Digest
+    session_key: Digest
+
+
+def _decide(probe: Probe | None, check: str, passed: bool, reason: Reason) -> None:
+    """Report one check to the probe, then raise if it failed."""
+    failure = None if passed else reason
+    if probe is not None:
+        probe(check, failure)
+    if failure is not None:
+        raise Rejected(failure)
+
+
+def _check_biometric(hasher: Hasher, card, bio_sample: bytes, probe: Probe | None) -> None:
+    passed = hasher.hash_uncounted(bio_sample) == card.bio_template
+    _decide(probe, "biometric", passed, Reason.BIOMETRIC_MISMATCH)
+
+
+def _verifier(hasher: Hasher, card, password: bytes) -> tuple[Digest, Digest]:
+    """The salted password digest and the verifier it yields with this card."""
+    pw_digest = hasher.hash(card.salt, password)
+    return pw_digest, hasher.hash(pw_digest, card.bio_template)
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One scheme: its card and wire message types, and whether it is hardened."""
+
+    card: type
+    login_message: type
+    auth_response: type
+    hardened: bool
+
+    def _check_password(self, card, verifier: Digest, probe: Probe | None) -> None:
+        # Only a hardened card stores a verifier to compare against.
+        if self.hardened:
+            _decide(probe, "password", verifier == card.verifier, Reason.WRONG_PASSWORD)
+
+    def register(
+        self,
+        hasher: Hasher,
+        rc: RegistrationCenter,
+        user_id: bytes,
+        password: bytes,
+        biometric: bytes,
+        rng: DigestRng,
+    ):
+        """Enrol a user and issue a card (modelled as a direct secure call)."""
+        check_credentials(user_id, password, biometric)
+        salt = rng.salt()
+        pw_digest = hasher.hash(salt, password)
+        bio_template = hasher.hash(biometric)
+        verifier = hasher.hash(pw_digest, bio_template)
+        identity_key = hasher.hash(user_id, rc.master_secret)
+        stored = {"verifier": verifier} if self.hardened else {}
+        return self.card(
+            bio_template=bio_template,
+            sealed_key=identity_key ^ verifier,
+            shared_secret=rc.shared_secret,
+            salt=salt,
+            **stored,
+        )
+
+    def login(
+        self,
+        hasher: Hasher,
+        card,
+        user_id: bytes,
+        password: bytes,
+        bio_sample: bytes,
+        rng: DigestRng,
+        probe: Probe | None = None,
+    ) -> tuple[object, ClientSession]:
+        """Build a login request after the card's local checks.
+
+        Without the hardening a wrong password yields a wrong verifier and
+        hence a garbled identity key, but the card has no stored value to
+        compare against and sends the message regardless.
+        """
+        _check_biometric(hasher, card, bio_sample, probe)
+        pw_digest, verifier = _verifier(hasher, card, password)
+        self._check_password(card, verifier, probe)
+        identity_key = card.sealed_key ^ verifier
+        client_nonce = rng.digest()
+        masked_nonce = identity_key ^ client_nonce
+        nonce_tag = hasher.hash(card.shared_secret, client_nonce)
+        masked_pw_digest = pw_digest ^ nonce_tag
+        checksum = hasher.hash(masked_nonce, nonce_tag, masked_pw_digest)
+        in_clear = {"nonce_tag": nonce_tag} if self.hardened else {}
+        message = self.login_message(
+            user_id=user_id,
+            masked_nonce=masked_nonce,
+            masked_pw_digest=masked_pw_digest,
+            checksum=checksum,
+            **in_clear,
+        )
+        return message, ClientSession(pw_digest, identity_key, nonce_tag, client_nonce)
+
+    def authenticate(
+        self,
+        hasher: Hasher,
+        server: ServerState,
+        message,
+        rng: DigestRng,
+        probe: Probe | None = None,
+    ) -> tuple[object, ServerSession]:
+        """Check a login request and answer it; raises Rejected on any failure."""
+        _decide(probe, "id-format", check_id_format(message.user_id), Reason.BAD_ID_FORMAT)
+        identity_key = hasher.hash(message.user_id, server.master_secret)
+        client_nonce = message.masked_nonce ^ identity_key
+        nonce_tag = hasher.hash(server.shared_secret, client_nonce)
+        if self.hardened:
+            _decide(probe, "nonce-tag", nonce_tag == message.nonce_tag, Reason.NONCE_TAG_MISMATCH)
+        checksum = hasher.hash(message.masked_nonce, nonce_tag, message.masked_pw_digest)
+        _decide(probe, "checksum", checksum == message.checksum, Reason.CHECKSUM_MISMATCH)
+        # The nonce is stored only after the message authenticated, so forged
+        # messages cannot poison the replay database.
+        fresh = replay_check_and_store(server, message.user_id, client_nonce)
+        _decide(probe, "nonce-freshness", fresh, Reason.REPLAY)
+        pw_digest = message.masked_pw_digest ^ nonce_tag
+        server_nonce = rng.digest()
+        masked_server_nonce = (
+            hasher.hash(pw_digest, server.server_id, server.shared_secret) ^ nonce_tag ^ server_nonce
+        )
+        tagged = (
+            {"server_nonce_tag": hasher.hash(server.shared_secret, server_nonce)}
+            if self.hardened
+            else {}
+        )
+        server_checksum = hasher.hash(identity_key, pw_digest, server.shared_secret, server_nonce)
+        session_key = hasher.hash(pw_digest, nonce_tag, server_nonce, server.server_id)
+        response = self.auth_response(
+            masked_server_nonce=masked_server_nonce, server_checksum=server_checksum, **tagged
+        )
+        session = ServerSession(
+            identity_key, client_nonce, nonce_tag, pw_digest, server_nonce, session_key
+        )
+        return response, session
+
+    def verify_server(
+        self,
+        hasher: Hasher,
+        session: ClientSession,
+        card,
+        response,
+        server_id: bytes,
+        probe: Probe | None = None,
+    ) -> Digest:
+        """Verify the server's answer and derive the session key."""
+        blind = hasher.hash(session.pw_digest, server_id, card.shared_secret)
+        server_nonce = blind ^ session.nonce_tag ^ response.masked_server_nonce
+        if self.hardened:
+            server_nonce_tag = hasher.hash(card.shared_secret, server_nonce)
+            passed = server_nonce_tag == response.server_nonce_tag
+            _decide(probe, "server-nonce-tag", passed, Reason.SERVER_NONCE_TAG_MISMATCH)
+        expected = hasher.hash(
+            session.identity_key, session.pw_digest, card.shared_secret, server_nonce
+        )
+        reason = Reason.SERVER_CHECKSUM_MISMATCH if self.hardened else Reason.SERVER_AUTH_FAILED
+        _decide(probe, "server-checksum", response.server_checksum == expected, reason)
+        session.server_nonce = server_nonce
+        if self.hardened:
+            session.server_nonce_tag = server_nonce_tag
+        return hasher.hash(session.pw_digest, session.nonce_tag, server_nonce, server_id)
+
+    def change_password(
+        self,
+        hasher: Hasher,
+        card,
+        bio_sample: bytes,
+        old_password: bytes,
+        new_password: bytes,
+        probe: Probe | None = None,
+    ):
+        """Re-seal the card key under a new password.
+
+        Without the hardening nothing on the card can detect a wrong old
+        password: the update is applied anyway and the sealed key unseals
+        to garbage forever after.  A hardened card refuses a wrong old
+        password, untouched, and replaces sealed key and verifier together.
+        """
+        _check_biometric(hasher, card, bio_sample, probe)
+        check_password(new_password)
+        _, old_verifier = _verifier(hasher, card, old_password)
+        self._check_password(card, old_verifier, probe)
+        identity_key = card.sealed_key ^ old_verifier
+        _, new_verifier = _verifier(hasher, card, new_password)
+        stored = {"verifier": new_verifier} if self.hardened else {}
+        return replace(card, sealed_key=identity_key ^ new_verifier, **stored)

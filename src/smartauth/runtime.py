@@ -10,7 +10,9 @@ small line-oriented text format.
 from __future__ import annotations
 
 import codecs
+import os
 import re
+import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -145,22 +147,46 @@ _decode_escapes = codecs.getdecoder("unicode_escape")
 
 
 def save_replay_db(server: ServerState, path: "str | Path") -> None:
-    """Write the replay database as sorted ``identity<TAB>nonce-hex`` lines."""
+    """Write the replay database as sorted ``identity<TAB>nonce-hex`` lines.
+
+    The text goes to a private temporary file (mode 0600) in the same
+    directory, which then replaces ``path`` in one step: a reader sees the
+    old snapshot or the new one, never a partial file.
+    """
+    path = Path(path)
     lines = [SNAPSHOT_HEADER]
     for user_id in sorted(server.replay_db):
         lines.append(f"{_escape_id(user_id)}\t{server.replay_db[user_id].hex()}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines.append("")  # the final newline
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with open(fd, "wb") as fh:
+            fh.write("\n".join(lines).encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _read_utf8(path: "str | Path") -> str:
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotError(data.count(b"\n", 0, exc.start) + 1, "not valid UTF-8") from None
 
 
 def load_replay_db(path: "str | Path") -> dict[bytes, Digest]:
     """Parse a snapshot back into a replay map; strict, with line numbers.
 
-    Identities and nonces are accepted only in the canonical form
+    Every line, the last one included, ends in a line feed and nothing
+    else.  Identities and nonces are accepted only in the canonical form
     ``save_replay_db`` writes; anything else raises ``SnapshotError``
     naming the offending line.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = _read_utf8(path).split("\n")
+    if lines.pop() != "":
+        raise SnapshotError(len(lines) + 1, "missing final newline")
     if not lines or lines[0] != SNAPSHOT_HEADER:
         raise SnapshotError(1, f"expected header {SNAPSHOT_HEADER!r}")
     entries: dict[bytes, Digest] = {}

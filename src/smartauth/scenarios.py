@@ -10,7 +10,7 @@ transcript.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import dataclass, fields as dataclass_fields
 
 from . import baseline, improved
 from .channel import AdversarialChannel, Tamper, Transcript
@@ -63,8 +63,8 @@ class ScenarioResult:
     """Outcome summary; session keys are present exactly when accepted.
 
     ``messages_sent`` counts every message placed on the wire, adversary
-    replays and injections included.  ``hash_counts`` are the per-side
-    hash invocations after registration (the biometric gate is uncounted).
+    replays included.  ``hash_counts`` are the per-side hash invocations
+    after registration (the biometric gate is uncounted).
     """
 
     scheme: str
@@ -123,6 +123,17 @@ class _Env:
             self.setup_hasher, self.rc, self.user_id, self.password, self.biometric, self.rng
         )
 
+    def probe(self, actor: str):
+        """A protocol probe that writes each check ``actor`` decides to the transcript."""
+
+        def report(check: str, failure: Reason | None) -> None:
+            if failure is None:
+                self.transcript.add(actor, "verify", verdict=f"{check}:ok")
+            else:
+                self.transcript.add(actor, "reject", verdict=f"{check}:fail:{failure.value}")
+
+        return report
+
     def _secret(self) -> bytes:
         return self.master.randbytes(self.master.randint(6, 24))
 
@@ -131,57 +142,6 @@ class _Env:
         while secret == other:
             secret = self._secret()
         return secret
-
-
-# Ordered check lists per locus, used to synthesize verify events: when an
-# operation raises, every check before the failing one had passed.
-_CARD_CHECKS = {
-    "baseline": (("biometric", Reason.BIOMETRIC_MISMATCH),),
-    "improved": (
-        ("biometric", Reason.BIOMETRIC_MISMATCH),
-        ("password", Reason.WRONG_PASSWORD),
-    ),
-}
-
-_SERVER_CHECKS = {
-    "baseline": (
-        ("id-format", Reason.BAD_ID_FORMAT),
-        ("checksum", Reason.CHECKSUM_MISMATCH),
-        ("nonce-freshness", Reason.REPLAY),
-    ),
-    "improved": (
-        ("id-format", Reason.BAD_ID_FORMAT),
-        ("nonce-tag", Reason.NONCE_TAG_MISMATCH),
-        ("checksum", Reason.CHECKSUM_MISMATCH),
-        ("nonce-freshness", Reason.REPLAY),
-    ),
-}
-
-_CONFIRM_CHECKS = {
-    "baseline": (("server-checksum", Reason.SERVER_AUTH_FAILED),),
-    "improved": (
-        ("server-nonce-tag", Reason.SERVER_NONCE_TAG_MISMATCH),
-        ("server-checksum", Reason.SERVER_CHECKSUM_MISMATCH),
-    ),
-}
-
-
-def _checked(env: _Env, actor: str, checks, fn):
-    """Run fn, recording a verify event per passed check and the rejection."""
-    try:
-        result = fn()
-    except Rejected as exc:
-        for name, reason in checks:
-            if reason is exc.reason:
-                env.transcript.add(actor, "reject", verdict=f"{name}:fail:{exc.reason.value}")
-                break
-            env.transcript.add(actor, "verify", verdict=f"{name}:ok")
-        else:
-            env.transcript.add(actor, "reject", verdict=f"reject:{exc.reason.value}")
-        raise
-    for name, _ in checks:
-        env.transcript.add(actor, "verify", verdict=f"{name}:ok")
-    return result
 
 
 @dataclass
@@ -197,23 +157,21 @@ def _login_exchange(env: _Env, password: bytes) -> _Outcome:
     """One full login attempt through the channel, whatever the outcome."""
     mod = env.mod
     try:
-        message, client_session = _checked(
-            env,
-            "card",
-            _CARD_CHECKS[env.scheme],
-            lambda: mod.login(
-                env.client_hasher, env.card, env.user_id, password, env.biometric, env.rng
-            ),
+        message, client_session = mod.login(
+            env.client_hasher,
+            env.card,
+            env.user_id,
+            password,
+            env.biometric,
+            env.rng,
+            probe=env.probe("card"),
         )
     except Rejected as exc:
         return _Outcome("local-reject", exc.reason)
     delivered = env.channel.transmit("client", "server", message)
     try:
-        response, server_session = _checked(
-            env,
-            "server",
-            _SERVER_CHECKS[env.scheme],
-            lambda: mod.authenticate(env.server_hasher, env.server, delivered, env.rng),
+        response, server_session = mod.authenticate(
+            env.server_hasher, env.server, delivered, env.rng, probe=env.probe("server")
         )
     except Rejected as exc:
         return _Outcome("reject", exc.reason)
@@ -222,13 +180,13 @@ def _login_exchange(env: _Env, password: bytes) -> _Outcome:
     )
     delivered_response = env.channel.transmit("server", "client", response)
     try:
-        client_key = _checked(
-            env,
-            "client",
-            _CONFIRM_CHECKS[env.scheme],
-            lambda: mod.verify_server(
-                env.client_hasher, client_session, env.card, delivered_response, env.server.server_id
-            ),
+        client_key = mod.verify_server(
+            env.client_hasher,
+            client_session,
+            env.card,
+            delivered_response,
+            env.server.server_id,
+            probe=env.probe("client"),
         )
     except Rejected as exc:
         return _Outcome("reject", exc.reason, server_session=server_session)
@@ -242,11 +200,8 @@ def _replay_to_server(env: _Env, index: int) -> _Outcome:
     """Adversary resends a captured login message to the server."""
     message = env.channel.replay(index, "server")
     try:
-        _, server_session = _checked(
-            env,
-            "server",
-            _SERVER_CHECKS[env.scheme],
-            lambda: env.mod.authenticate(env.server_hasher, env.server, message, env.rng),
+        _, server_session = env.mod.authenticate(
+            env.server_hasher, env.server, message, env.rng, probe=env.probe("server")
         )
     except Rejected as exc:
         return _Outcome("reject", exc.reason)
@@ -258,13 +213,13 @@ def _change_password(env: _Env, old_password: bytes, new_password: bytes) -> Rej
     """Attempt a password change on the card; returns the rejection, if any."""
     before = env.card
     try:
-        env.card = _checked(
-            env,
-            "card",
-            _CARD_CHECKS[env.scheme],
-            lambda: env.mod.change_password(
-                env.client_hasher, env.card, env.biometric, old_password, new_password
-            ),
+        env.card = env.mod.change_password(
+            env.client_hasher,
+            env.card,
+            env.biometric,
+            old_password,
+            new_password,
+            probe=env.probe("card"),
         )
     except Rejected as exc:
         unchanged = env.card == before
@@ -465,7 +420,7 @@ class CostReport:
 
 def measure_costs(config: HashConfig | None = None, seed: int = 0) -> CostReport:
     """Instrument one honest run per scheme and tally per-phase hash calls."""
-    config = replace(config or HashConfig(), count_calls=True)
+    config = config or HashConfig()
     phases: dict[str, dict[str, int]] = {}
     card_digests: dict[str, int] = {}
     for scheme in SCHEMES:

@@ -138,13 +138,30 @@ def test_wrong_password_rejected_locally_before_any_message():
 
 def test_wire_exposes_salted_password_digest():
     # The nonce tag rides in clear next to the masked password digest, so
-    # any eavesdropper can unmask the latter.  Faithfully reproduced, and
+    # any eavesdropper can unmask the latter.  Every card also carries the
+    # same shared secret, so any other cardholder who sees one exchange goes
+    # on to recover the victim's session key.  Faithfully reproduced, and
     # pinned here so nobody fixes it by accident.
     s = make_setup(improved, seed=22)
     message, client_session = improved.login(
         s.hasher, s.card, s.user_id, s.password, s.biometric, s.rng
     )
-    assert message.masked_pw_digest ^ message.nonce_tag == client_session.pw_digest
+    response, server_session = improved.authenticate(s.hasher, s.server, message, s.rng)
+    client_key = improved.verify_server(s.hasher, client_session, s.card, response, s.server_id)
+
+    insider_card = improved.register(s.hasher, s.rc, b"mallory", b"own-pw", b"own-thumb", s.rng)
+    shared = bytes(insider_card.shared_secret)
+    nonce_tag = bytes(message.nonce_tag)
+    # Step 1: unmask the salted password digest.
+    pw_digest = xor_bytes(bytes(message.masked_pw_digest), nonce_tag)
+    assert pw_digest == bytes(client_session.pw_digest)
+    # Step 2: unblind the server nonce with the shared secret.
+    blind = raw_hash(32, pw_digest, s.server_id, shared)
+    server_nonce = xor_bytes(xor_bytes(blind, nonce_tag), bytes(response.masked_server_nonce))
+    assert server_nonce == bytes(server_session.server_nonce)
+    # Step 3: derive the session key exactly as both ends do.
+    key = raw_hash(32, pw_digest, nonce_tag, server_nonce, s.server_id)
+    assert key == bytes(server_session.session_key) == bytes(client_key)
 
 
 def test_server_checks_nonce_tag_before_checksum():
@@ -248,7 +265,7 @@ def test_hash_count_delta_against_baseline_is_two():
     counts = {}
     for mod in (baseline, improved):
         s = make_setup(mod, seed=29)
-        s.hasher.reset_count()
+        before = s.hasher.count  # registration hashes on the same hasher
         exchange(mod, s)
-        counts[mod.__name__] = s.hasher.count
+        counts[mod.__name__] = s.hasher.count - before
     assert counts["smartauth.improved"] - counts["smartauth.baseline"] == 2

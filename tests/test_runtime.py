@@ -5,18 +5,21 @@ import pytest
 from smartauth import (
     AdversarialChannel,
     Digest,
-    Drop,
     ServerState,
     SnapshotError,
     Tamper,
     Transcript,
     baseline,
     check_id_format,
+    improved,
     load_replay_db,
     replay_check_and_store,
     save_replay_db,
 )
+from smartauth import runtime
 from smartauth.channel import flip_bit, message_fields, tamper_message
+
+from support import make_setup
 
 
 def _server(db=None):
@@ -61,6 +64,23 @@ def test_replay_db_replaces_different_nonce():
     server = _server({b"alice": old})
     assert replay_check_and_store(server, b"alice", new)
     assert server.replay_db[b"alice"] == new
+
+
+@pytest.mark.parametrize("mod", [baseline, improved], ids=["baseline", "improved"])
+def test_stale_replay_of_an_older_login_is_accepted(mod):
+    # The replay DB keeps only the last nonce per user, so once a second
+    # login has replaced it, resending the first captured login passes as
+    # fresh and earns a fresh response.  A known weakness of both schemes,
+    # pinned here so nobody fixes it by accident.
+    s = make_setup(mod, seed=30)
+    first, _ = mod.login(s.hasher, s.card, s.user_id, s.password, s.biometric, s.rng)
+    _, first_session = mod.authenticate(s.hasher, s.server, first, s.rng)
+    second, _ = mod.login(s.hasher, s.card, s.user_id, s.password, s.biometric, s.rng)
+    mod.authenticate(s.hasher, s.server, second, s.rng)
+    _, replayed_session = mod.authenticate(s.hasher, s.server, first, s.rng)
+    assert replayed_session.client_nonce == first_session.client_nonce
+    assert replayed_session.server_nonce != first_session.server_nonce
+    assert s.server.replay_db[s.user_id] == first_session.client_nonce
 
 
 # --- snapshots ----------------------------------------------------------
@@ -108,11 +128,18 @@ def test_snapshot_empty_db(tmp_path):
         ("smartauth-replaydb v1\nalice\t0011\nbob\t001122\n", 3),
         ("smartauth-replaydb v1\nalice\t0011\nalice\t2233\n", 3),
         ("smartauth-replaydb v1\nbad\\zesc\t0011\n", 2),
+        ("smartauth-replaydb v1\r\nalice\t0011\r\n", 1),  # CRLF header
+        ("smartauth-replaydb v1\nalice\t0011\r\n", 2),  # CRLF entry
+        ("smartauth-replaydb v1", 1),  # no final newline after the header
+        ("smartauth-replaydb v1\nalice\t0011", 2),  # no final newline
+        ("smartauth-replaydb v1\nalice\t0011\x85bob\t2233\n", 2),  # NEL is no line break
+        ("smartauth-replaydb v1\nalice\t0011\u2028bob\t2233\n", 2),  # nor is U+2028
+        (b"smartauth-replaydb v1\nalice\t0011\nb\xffb\t2233\n", 3),  # not UTF-8
     ],
 )
 def test_snapshot_parse_errors_carry_line_numbers(tmp_path, content, line_no):
     path = tmp_path / "bad.snapshot"
-    path.write_text(content)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     with pytest.raises(SnapshotError) as err:
         load_replay_db(path)
     assert err.value.line_no == line_no
@@ -152,6 +179,21 @@ def test_snapshot_rejects_non_canonical_text(tmp_path, bad, canonical):
     assert resaved.read_text(encoding="utf-8") == text
 
 
+def test_snapshot_save_replaces_the_file_in_one_step(tmp_path, monkeypatch):
+    path = tmp_path / "db.snapshot"
+    save_replay_db(_server({b"alice": Digest(b"\x01" * 4)}), path)
+    before = path.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("interrupted before the rename")
+
+    monkeypatch.setattr(runtime.os, "replace", interrupted)
+    with pytest.raises(OSError):
+        save_replay_db(_server({b"bob": Digest(b"\x02" * 4)}), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["db.snapshot"]  # no temp file left
+
+
 def test_snapshot_duplicate_reported_at_second_occurrence(tmp_path):
     path = tmp_path / "dup.snapshot"
     path.write_text(
@@ -181,7 +223,6 @@ def test_passive_channel_is_transparent_and_ordered():
     assert channel.transmit("server", "client", m2) is m2
     assert channel.captured == [m1, m2]
     assert channel.sent == 2
-    assert channel.action_log == []
     kinds = [e.kind for e in transcript.events]
     assert kinds == ["send", "receive", "send", "receive"]
 
@@ -194,7 +235,8 @@ def test_tamper_policy_flips_exactly_one_bit_once():
     assert delivered is not message
     assert delivered.checksum.value == flip_bit(message.checksum.value, 9)
     assert delivered.masked_nonce == message.masked_nonce
-    assert channel.action_log == ["tamper:checksum:bit9"]
+    actions = [e.verdict for e in transcript.events if e.kind == "adversary-action"]
+    assert actions == ["tamper:checksum:bit9"]
     assert channel.policy is None  # spent
     again = _sample_message()
     assert channel.transmit("client", "server", again) is again
@@ -210,26 +252,15 @@ def test_tamper_policy_waits_for_a_message_with_the_field():
     assert delivered.server_checksum != response.server_checksum
 
 
-def test_drop_policy_swallows_the_indexed_message():
-    transcript = Transcript()
-    channel = AdversarialChannel(transcript, policy=Drop(0))
-    assert channel.transmit("client", "server", _sample_message()) is None
-    assert channel.action_log == ["drop:0"]
-    assert [e.kind for e in transcript.events] == ["send", "adversary-action"]
-
-
-def test_replay_and_inject_are_logged_and_counted():
+def test_replay_is_logged_and_counted():
     transcript = Transcript()
     channel = AdversarialChannel(transcript)
     message = _sample_message()
     channel.transmit("client", "server", message)
     assert channel.replay(0, "server") is message
-    crafted = _sample_message()
-    assert channel.inject(crafted, "server") is crafted
-    assert channel.sent == 3
-    assert channel.action_log == ["replay:0", "inject"]
+    assert channel.sent == 2
     adversary_events = [e for e in transcript.events if e.kind == "adversary-action"]
-    assert [e.verdict for e in adversary_events] == ["replay:0", "inject"]
+    assert [e.verdict for e in adversary_events] == ["replay:0"]
 
 
 def test_flip_bit_involutive_and_bounded():

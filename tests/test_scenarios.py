@@ -1,5 +1,7 @@
 """Scenario scripts: verdicts, determinism, and transcript structure."""
 
+import hashlib
+
 import pytest
 
 from smartauth import SCENARIOS, SCHEMES, matches_expected, measure_costs, run_scenario
@@ -40,6 +42,28 @@ def test_transcripts_are_deterministic(scheme, scenario):
     first, _ = run_scenario(scheme, scenario, seed=11)
     second, _ = run_scenario(scheme, scenario, seed=11)
     assert first.render() == second.render()
+
+
+# sha256 over every rendered transcript and result summary below. Any change to
+# a transcript byte, a verdict, a reason, a message count or a hash count moves it.
+GOLDEN_SWEEP_SHA256 = "29cbc622af00befc3f2107fd77e182e18dc8cfaab98accf845ba9624086188f4"
+
+
+def test_golden_transcripts_for_every_scheme_scenario_seed_and_width():
+    digest = hashlib.sha256()
+    for algorithm in ("sha256", "toy8", "toy16"):
+        config = HashConfig(algorithm)
+        for scheme, scenario in ALL_COMBOS:
+            for seed in range(10):
+                transcript, r = run_scenario(scheme, scenario, seed, config)
+                reason = r.reason.value if r.reason else "-"
+                counts = r.hash_counts
+                digest.update(transcript.render().encode())
+                digest.update(
+                    f"{r.verdict} {reason} {r.messages_sent} "
+                    f"{counts['client']} {counts['server']}\n".encode()
+                )
+    assert digest.hexdigest() == GOLDEN_SWEEP_SHA256
 
 
 def test_different_seeds_differ():
