@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .hashing import HashConfig
 from .scenarios import (
+    DIVERGING_SCENARIOS,
     EXPECTED_VERDICTS,
     SCENARIOS,
     SCHEMES,
@@ -24,8 +25,6 @@ from .scenarios import (
 )
 
 HASH_CHOICES = {"standard": "sha256", "toy8": "toy8", "toy16": "toy16"}
-
-DIVERGING_SCENARIOS = ("wrong-password", "wrong-password-change")
 
 
 def _positive(text: str) -> int:
@@ -87,9 +86,7 @@ def _run_summary(args, results: list[ScenarioResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_run(args) -> int:
-    config = HashConfig(HASH_CHOICES[args.hash])
-    seed = _resolve_seed(args.seed)
+def cmd_run(args, seed: int, config: HashConfig) -> int:
     chunks = []
     results = []
     for trial in range(args.trials):
@@ -109,17 +106,15 @@ def cmd_run(args) -> int:
     return 0 if all(matches_expected(r) for r in results) else 1
 
 
-def cmd_diff(args) -> int:
-    config = HashConfig(HASH_CHOICES[args.hash])
-    base = _resolve_seed(args.seed)
-    seeds = args.seeds if args.seeds else list(range(base, base + 10))
+def cmd_diff(args, seed: int, config: HashConfig) -> int:
+    seeds = args.seeds if args.seeds else list(range(seed, seed + 10))
     all_ok = True
     for scenario in SCENARIOS:
         diverged = 0
         sample = None
-        for seed in seeds:
-            _, result_b = run_scenario("baseline", scenario, seed, config)
-            _, result_i = run_scenario("improved", scenario, seed, config)
+        for trial_seed in seeds:
+            _, result_b = run_scenario("baseline", scenario, trial_seed, config)
+            _, result_i = run_scenario("improved", scenario, trial_seed, config)
             if result_b.verdict != result_i.verdict:
                 diverged += 1
             sample = (result_b, result_i)
@@ -140,9 +135,8 @@ def cmd_diff(args) -> int:
     return 0 if all_ok else 1
 
 
-def cmd_cost(args) -> int:
-    config = HashConfig(HASH_CHOICES[args.hash])
-    report = measure_costs(config, _resolve_seed(args.seed))
+def cmd_cost(args, seed: int, config: HashConfig) -> int:
+    report = measure_costs(config, seed)
     print("hash invocations per honest run (registration and biometric gate excluded)")
     print()
     print(f"{'phase':<28} {'baseline':>8} {'improved':>8}")
@@ -173,34 +167,36 @@ def main(argv: list[str] | None = None) -> int:
         prog="smartauth",
         description="Run, compare, and cost two smart-card authentication schemes.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=_seed_type, default=None,
+                        help="base seed (default: SMARTAUTH_SEED or 0)")
+    common.add_argument("--hash", choices=sorted(HASH_CHOICES), default="standard")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one scenario and print its transcript")
+    run_p = sub.add_parser("run", parents=[common],
+                           help="run one scenario and print its transcript")
     run_p.add_argument("--scheme", choices=SCHEMES, default="improved")
     run_p.add_argument("--scenario", choices=SCENARIOS, default="honest")
-    run_p.add_argument("--seed", type=_seed_type, default=None,
-                       help="base seed (default: SMARTAUTH_SEED or 0)")
     run_p.add_argument("--trials", type=_positive, default=1,
                        help="repeat with seeds seed, seed+1, ...")
-    run_p.add_argument("--hash", choices=sorted(HASH_CHOICES), default="standard")
     run_p.add_argument("--out", default=None, help="write output to this file instead of stdout")
     run_p.add_argument("--format", choices=("text", "structured-lines"), default="text")
     run_p.set_defaults(func=cmd_run)
 
-    diff_p = sub.add_parser("diff", help="run every scenario under both schemes and compare")
+    diff_p = sub.add_parser("diff", parents=[common],
+                            help="run every scenario under both schemes and compare")
     diff_p.add_argument("--seeds", type=_seed_type, nargs="+", default=None,
                         help="seeds to compare (default: 10 seeds from the base seed)")
-    diff_p.add_argument("--seed", type=_seed_type, default=None)
-    diff_p.add_argument("--hash", choices=sorted(HASH_CHOICES), default="standard")
     diff_p.set_defaults(func=cmd_diff)
 
-    cost_p = sub.add_parser("cost", help="per-phase hash counts and card storage")
-    cost_p.add_argument("--seed", type=_seed_type, default=None)
-    cost_p.add_argument("--hash", choices=sorted(HASH_CHOICES), default="standard")
+    cost_p = sub.add_parser("cost", parents=[common],
+                            help="per-phase hash counts and card storage")
     cost_p.set_defaults(func=cmd_cost)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    # Resolved even when ``diff --seeds`` makes the seed unused, so a bad
+    # SMARTAUTH_SEED is always an error.
+    return args.func(args, _resolve_seed(args.seed), HashConfig(HASH_CHOICES[args.hash]))
 
 
 if __name__ == "__main__":

@@ -181,8 +181,9 @@ def load_replay_db(path: "str | Path") -> dict[bytes, Digest]:
 
     Every line, the last one included, ends in a line feed and nothing
     else.  Identities and nonces are accepted only in the canonical form
-    ``save_replay_db`` writes; anything else raises ``SnapshotError``
-    naming the offending line.
+    ``save_replay_db`` writes, identities in strictly ascending byte
+    order; anything else raises ``SnapshotError`` naming the offending
+    line.
     """
     lines = _read_utf8(path).split("\n")
     if lines.pop() != "":
@@ -191,6 +192,7 @@ def load_replay_db(path: "str | Path") -> dict[bytes, Digest]:
         raise SnapshotError(1, f"expected header {SNAPSHOT_HEADER!r}")
     entries: dict[bytes, Digest] = {}
     width: int | None = None
+    previous: bytes | None = None
     for line_no, line in enumerate(lines[1:], start=2):
         if not line:
             raise SnapshotError(line_no, "blank line")
@@ -212,7 +214,9 @@ def load_replay_db(path: "str | Path") -> dict[bytes, Digest]:
             width = len(raw)
         elif len(raw) != width:
             raise SnapshotError(line_no, "inconsistent nonce width")
-        if user_id in entries:
-            raise SnapshotError(line_no, "duplicate identity")
+        # Ascending order is what the writer produces; it also rules out duplicates.
+        if previous is not None and user_id <= previous:
+            raise SnapshotError(line_no, "identity repeated or out of ascending order")
+        previous = user_id
         entries[user_id] = Digest(raw)
     return entries

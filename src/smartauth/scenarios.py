@@ -17,43 +17,12 @@ from .channel import AdversarialChannel, Tamper, Transcript
 from .hashing import Digest, DigestRng, HashConfig, Hasher
 from .runtime import Reason, Rejected, RegistrationCenter, ServerState
 
-SCHEMES = ("baseline", "improved")
-
-SCENARIOS = (
-    "honest",
-    "wrong-password",
-    "wrong-password-change",
-    "correct-password-change",
-    "replay",
-    "tamper",
-    "stolen-card",
-    "hash-count",
-    "double-login",
-)
+# The one place a scheme name is bound to its module.
+_SCHEME_MODULES = {"baseline": baseline, "improved": improved}
+SCHEMES = tuple(_SCHEME_MODULES)
 
 # Sentinel for scenarios where any rejection reason satisfies expectations.
 ANY_REASON = "any"
-
-EXPECTED_VERDICTS: dict[tuple[str, str], tuple[str, object]] = {
-    ("baseline", "honest"): ("accept", None),
-    ("improved", "honest"): ("accept", None),
-    ("baseline", "wrong-password"): ("reject", Reason.CHECKSUM_MISMATCH),
-    ("improved", "wrong-password"): ("local-reject", Reason.WRONG_PASSWORD),
-    ("baseline", "wrong-password-change"): ("reject", Reason.CHECKSUM_MISMATCH),
-    ("improved", "wrong-password-change"): ("accept", None),
-    ("baseline", "correct-password-change"): ("accept", None),
-    ("improved", "correct-password-change"): ("accept", None),
-    ("baseline", "replay"): ("reject", Reason.REPLAY),
-    ("improved", "replay"): ("reject", Reason.REPLAY),
-    ("baseline", "tamper"): ("reject", ANY_REASON),
-    ("improved", "tamper"): ("reject", ANY_REASON),
-    ("baseline", "stolen-card"): ("accept", None),
-    ("improved", "stolen-card"): ("accept", None),
-    ("baseline", "hash-count"): ("accept", None),
-    ("improved", "hash-count"): ("accept", None),
-    ("baseline", "double-login"): ("reject", Reason.REPLAY),
-    ("improved", "double-login"): ("reject", Reason.REPLAY),
-}
 
 ID_ALPHABET = bytes(range(0x21, 0x7F))
 
@@ -95,7 +64,7 @@ class _Env:
         self.scenario = scenario
         self.seed = seed
         self.config = config
-        self.mod = baseline if scheme == "baseline" else improved
+        self.mod = _SCHEME_MODULES[scheme]
         self.master = random.Random(seed)
         self.user_id = bytes(self.master.choices(ID_ALPHABET, k=self.master.randint(4, 16)))
         self.password = self._secret()
@@ -151,6 +120,7 @@ class _Outcome:
     client_key: Digest | None = None
     server_key: Digest | None = None
     server_session: object = None
+    login_hashes: int | None = None  # on accept: the client hash count when ``login`` returned
 
 
 def _login_exchange(env: _Env, password: bytes) -> _Outcome:
@@ -168,6 +138,7 @@ def _login_exchange(env: _Env, password: bytes) -> _Outcome:
         )
     except Rejected as exc:
         return _Outcome("local-reject", exc.reason)
+    login_hashes = env.client_hasher.count
     delivered = env.channel.transmit("client", "server", message)
     try:
         response, server_session = mod.authenticate(
@@ -192,7 +163,7 @@ def _login_exchange(env: _Env, password: bytes) -> _Outcome:
         return _Outcome("reject", exc.reason, server_session=server_session)
     env.transcript.add("client", "key-derived", (("session_key", client_key.hex()),))
     return _Outcome(
-        "accept", None, client_key, server_session.session_key, server_session
+        "accept", None, client_key, server_session.session_key, server_session, login_hashes
     )
 
 
@@ -230,7 +201,7 @@ def _change_password(env: _Env, old_password: bytes, new_password: bytes) -> Rej
     return None
 
 
-def _finalize(env: _Env, outcome: _Outcome):
+def _finalize(env: _Env, outcome: _Outcome) -> tuple[Transcript, ScenarioResult]:
     if outcome.verdict == "accept":
         env.transcript.add(
             "run",
@@ -260,38 +231,35 @@ def _finalize(env: _Env, outcome: _Outcome):
     return env.transcript, result
 
 
-def _scn_honest(env: _Env):
-    return _finalize(env, _login_exchange(env, env.password))
+def _scn_honest(env: _Env) -> _Outcome:
+    return _login_exchange(env, env.password)
 
 
-def _scn_wrong_password(env: _Env):
-    return _finalize(env, _login_exchange(env, env.wrong_password))
+def _scn_wrong_password(env: _Env) -> _Outcome:
+    return _login_exchange(env, env.wrong_password)
 
 
-def _scn_wrong_password_change(env: _Env):
+def _scn_wrong_password_change(env: _Env) -> _Outcome:
     rejection = _change_password(env, env.wrong_password, env.new_password)
     if rejection is None:
         # The change went through with a wrong old password (baseline flaw):
         # the card is corrupted and neither password works any more.
         _login_exchange(env, env.new_password)
-        final = _login_exchange(env, env.password)
-    else:
-        # Change refused locally; the unchanged password must still work.
-        final = _login_exchange(env, env.password)
-    return _finalize(env, final)
+    # If the change was refused locally, the unchanged password must still work.
+    return _login_exchange(env, env.password)
 
 
-def _scn_correct_password_change(env: _Env):
+def _scn_correct_password_change(env: _Env) -> _Outcome:
     rejection = _change_password(env, env.password, env.new_password)
     if rejection is not None:
-        return _finalize(env, _Outcome("local-reject", rejection.reason))
-    return _finalize(env, _login_exchange(env, env.new_password))
+        return _Outcome("local-reject", rejection.reason)
+    return _login_exchange(env, env.new_password)
 
 
-def _scn_replay(env: _Env):
+def _scn_replay(env: _Env) -> _Outcome:
     _login_exchange(env, env.password)
     # Captured message 0 is the login request; resend it verbatim.
-    return _finalize(env, _replay_to_server(env, 0))
+    return _replay_to_server(env, 0)
 
 
 def _tamper_targets(env: _Env) -> list[tuple[str, int]]:
@@ -305,26 +273,26 @@ def _tamper_targets(env: _Env) -> list[tuple[str, int]]:
     return targets
 
 
-def _scn_tamper(env: _Env):
+def _scn_tamper(env: _Env) -> _Outcome:
     field, nbits = env.master.choice(_tamper_targets(env))
     env.channel.policy = Tamper(field, env.master.randrange(nbits))
-    return _finalize(env, _login_exchange(env, env.password))
+    return _login_exchange(env, env.password)
 
 
-def _scn_stolen_card(env: _Env):
+def _scn_stolen_card(env: _Env) -> _Outcome:
     breach_fields = [("sealed_key", env.card.sealed_key.hex())]
-    if hasattr(env.card, "verifier"):
+    if env.mod.SCHEME.hardened:
         breach_fields.append(("verifier", env.card.verifier.hex()))
     env.transcript.add("adversary", "adversary-action", tuple(breach_fields), verdict="card-breach")
     truth = env.setup_hasher.hash_uncounted(env.user_id, env.server.master_secret)
     _record_extraction(env, truth)
     _change_password(env, env.password, env.new_password)
     _record_extraction(env, truth)
-    return _finalize(env, _login_exchange(env, env.new_password))
+    return _login_exchange(env, env.new_password)
 
 
 def _record_extraction(env: _Env, truth: Digest) -> None:
-    if hasattr(env.mod, "extract_identity_key"):
+    if env.mod.SCHEME.hardened:
         extracted = env.mod.extract_identity_key(env.card)
         verdict = "identity-key-extraction:ok" if extracted == truth else "identity-key-extraction:fail"
         env.transcript.add(
@@ -336,23 +304,23 @@ def _record_extraction(env: _Env, truth: Digest) -> None:
         )
 
 
-def _scn_hash_count(env: _Env):
+def _scn_hash_count(env: _Env) -> _Outcome:
     outcome = _login_exchange(env, env.password)
     env.transcript.add(
         "run",
         "verify",
         verdict=f"hash-count:client={env.client_hasher.count}:server={env.server_hasher.count}",
     )
-    return _finalize(env, outcome)
+    return outcome
 
 
-def _scn_double_login(env: _Env):
+def _scn_double_login(env: _Env) -> _Outcome:
     first = _login_exchange(env, env.password)
     if first.verdict != "accept":
-        return _finalize(env, first)
+        return first
     second = _login_exchange(env, env.password)
     if second.verdict != "accept":
-        return _finalize(env, second)
+        return second
     nonce1 = first.server_session.client_nonce
     nonce2 = second.server_session.client_nonce
     replaced = nonce1 != nonce2 and env.server.replay_db[env.user_id] == nonce2
@@ -361,20 +329,45 @@ def _scn_double_login(env: _Env):
     )
     # Captured order is login, response, login, response: index 2 is the
     # second login request.
-    return _finalize(env, _replay_to_server(env, 2))
+    return _replay_to_server(env, 2)
 
 
-_SCRIPTS = {
-    "honest": _scn_honest,
-    "wrong-password": _scn_wrong_password,
-    "wrong-password-change": _scn_wrong_password_change,
-    "correct-password-change": _scn_correct_password_change,
-    "replay": _scn_replay,
-    "tamper": _scn_tamper,
-    "stolen-card": _scn_stolen_card,
-    "hash-count": _scn_hash_count,
-    "double-login": _scn_double_login,
+_ACCEPT = ("accept", None)
+_REPLAY = ("reject", Reason.REPLAY)
+
+# Each scenario once: its script, then the expected (verdict, reason) under
+# baseline and under improved.  The order is the order of ``SCENARIOS``,
+# which ``smartauth diff`` prints in.
+_TABLE = {
+    "honest": (_scn_honest, _ACCEPT, _ACCEPT),
+    "wrong-password": (
+        _scn_wrong_password,
+        ("reject", Reason.CHECKSUM_MISMATCH),
+        ("local-reject", Reason.WRONG_PASSWORD),
+    ),
+    "wrong-password-change": (
+        _scn_wrong_password_change, ("reject", Reason.CHECKSUM_MISMATCH), _ACCEPT
+    ),
+    "correct-password-change": (_scn_correct_password_change, _ACCEPT, _ACCEPT),
+    "replay": (_scn_replay, _REPLAY, _REPLAY),
+    "tamper": (_scn_tamper, ("reject", ANY_REASON), ("reject", ANY_REASON)),
+    "stolen-card": (_scn_stolen_card, _ACCEPT, _ACCEPT),
+    "hash-count": (_scn_hash_count, _ACCEPT, _ACCEPT),
+    "double-login": (_scn_double_login, _REPLAY, _REPLAY),
 }
+
+SCENARIOS = tuple(_TABLE)
+
+EXPECTED_VERDICTS: dict[tuple[str, str], tuple[str, object]] = {
+    (scheme, scenario): expected
+    for scenario, (_, *by_scheme) in _TABLE.items()
+    for scheme, expected in zip(SCHEMES, by_scheme)
+}
+
+# The scenarios where the two schemes are expected to reach different verdicts.
+DIVERGING_SCENARIOS = tuple(
+    scenario for scenario, (_, base, hardened) in _TABLE.items() if base[0] != hardened[0]
+)
 
 
 def run_scenario(
@@ -389,7 +382,8 @@ def run_scenario(
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     env = _Env(scheme, scenario, seed, config or HashConfig())
-    return _SCRIPTS[scenario](env)
+    script, _, _ = _TABLE[scenario]
+    return _finalize(env, script(env))
 
 
 @dataclass
@@ -425,19 +419,13 @@ def measure_costs(config: HashConfig | None = None, seed: int = 0) -> CostReport
     card_digests: dict[str, int] = {}
     for scheme in SCHEMES:
         env = _Env(scheme, "hash-count", seed, config)
-        message, client_session = env.mod.login(
-            env.client_hasher, env.card, env.user_id, env.password, env.biometric, env.rng
-        )
-        login_client = env.client_hasher.count
-        response, _ = env.mod.authenticate(env.server_hasher, env.server, message, env.rng)
-        auth_server = env.server_hasher.count
-        env.mod.verify_server(
-            env.client_hasher, client_session, env.card, response, env.server.server_id
-        )
+        outcome = _login_exchange(env, env.password)
+        if outcome.verdict != "accept":
+            raise Rejected(outcome.reason, f"honest {scheme} run did not accept")
         phases[scheme] = {
-            "login (client)": login_client,
-            "authentication (server)": auth_server,
-            "authentication (client)": env.client_hasher.count - login_client,
+            "login (client)": outcome.login_hashes,
+            "authentication (server)": env.server_hasher.count,
+            "authentication (client)": env.client_hasher.count - outcome.login_hashes,
         }
         card_digests[scheme] = sum(
             1

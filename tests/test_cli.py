@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, output determinism, seed handling."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -91,6 +92,16 @@ def test_env_seed_must_be_an_integer(capsys, monkeypatch):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["diff", "--seeds", "1"], ["cost"]])
+def test_env_seed_is_checked_by_every_command(capsys, monkeypatch, argv):
+    # Even ``diff --seeds``, which does not use the base seed, rejects a bad one.
+    monkeypatch.setenv("SMARTAUTH_SEED", "not-a-number")
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "SMARTAUTH_SEED" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -138,3 +149,27 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "verdict: accept" in proc.stdout
+
+
+# sha256 over the stdout and exit code of each command below, in order. It pins
+# the diff lines, the cost table and the seed handling, which the transcript pin
+# in test_scenarios.py does not reach.
+GOLDEN_CLI_SHA256 = "b4315bfcb3e1b56a98299e752be27f253bba9d18e042460f524c5c13a934241c"
+GOLDEN_CLI_COMMANDS = (
+    ({}, ["cost"]),
+    ({}, ["cost", "--hash", "toy8"]),
+    ({}, ["diff", "--seed", "3"]),
+    ({}, ["diff", "--hash", "toy16", "--seeds", "1", "2", "5"]),
+    ({"SMARTAUTH_SEED": "9"}, ["run", "--scenario", "tamper", "--trials", "3", "--hash", "toy16"]),
+)
+
+
+def test_golden_cli_output(capsys, monkeypatch):
+    digest = hashlib.sha256()
+    for env, argv in GOLDEN_CLI_COMMANDS:
+        monkeypatch.delenv("SMARTAUTH_SEED", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code, out = run_cli(capsys, *argv)
+        digest.update(f"{code}\n".encode() + out.encode())
+    assert digest.hexdigest() == GOLDEN_CLI_SHA256

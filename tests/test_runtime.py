@@ -127,6 +127,7 @@ def test_snapshot_empty_db(tmp_path):
         ("smartauth-replaydb v1\nalice\t\n", 2),
         ("smartauth-replaydb v1\nalice\t0011\nbob\t001122\n", 3),
         ("smartauth-replaydb v1\nalice\t0011\nalice\t2233\n", 3),
+        ("smartauth-replaydb v1\nbob\t0011\nalice\t2233\n", 3),  # out of order
         ("smartauth-replaydb v1\nbad\\zesc\t0011\n", 2),
         ("smartauth-replaydb v1\r\nalice\t0011\r\n", 1),  # CRLF header
         ("smartauth-replaydb v1\nalice\t0011\r\n", 2),  # CRLF entry

@@ -5,7 +5,8 @@ import hashlib
 import pytest
 
 from smartauth import SCENARIOS, SCHEMES, matches_expected, measure_costs, run_scenario
-from smartauth.scenarios import _Env, _SCRIPTS
+from smartauth.cli import main
+from smartauth.scenarios import _Env
 from smartauth.hashing import HashConfig
 
 
@@ -148,14 +149,21 @@ def test_hash_count_scenario_reports_delta_of_two():
     assert improved_total - base_total == 2
 
 
-def test_long_term_secrets_never_reach_the_transcript():
-    for scheme in SCHEMES:
-        for scenario in ("honest", "replay", "stolen-card", "wrong-password-change"):
-            env = _Env(scheme, scenario, 13, HashConfig())
-            transcript, _ = _SCRIPTS[scenario](env)
-            rendered = transcript.render()
-            assert env.server.master_secret.hex() not in rendered
-            assert env.server.shared_secret.hex() not in rendered
+def test_long_term_secrets_never_reach_the_transcript(capsys):
+    seed = 13
+    for scheme, scenario in ALL_COMBOS:
+        # The same seed derives the same secrets as the run itself.
+        env = _Env(scheme, scenario, seed, HashConfig())
+        secrets = (env.server.master_secret.hex(), env.server.shared_secret.hex())
+        transcript, _ = run_scenario(scheme, scenario, seed)
+        sinks = [transcript.render()]
+        for fmt in ("text", "structured-lines"):
+            main(["run", "--scheme", scheme, "--scenario", scenario, "--seed", str(seed),
+                  "--format", fmt])
+            sinks.append(capsys.readouterr().out)
+        for sink in sinks:
+            for secret in secrets:
+                assert secret not in sink, (scheme, scenario)
 
 
 def test_unknown_ids_raise():
