@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields, replace
 
-from .hashing import Digest
-
 EVENT_KINDS = (
     "send",
     "receive",
@@ -41,15 +39,9 @@ class Event:
         return " ".join(parts)
 
 
-def _to_hex(value: "bytes | Digest") -> str:
-    return value.hex() if isinstance(value, Digest) else bytes(value).hex()
-
-
 def message_fields(message: object) -> tuple[tuple[str, str], ...]:
     """Hex-encode a wire message's dataclass fields, name-sorted."""
-    pairs = [
-        (f.name, _to_hex(getattr(message, f.name))) for f in dataclass_fields(message)
-    ]
+    pairs = [(f.name, getattr(message, f.name).hex()) for f in dataclass_fields(message)]
     return tuple(sorted(pairs))
 
 
@@ -99,11 +91,7 @@ def flip_bit(data: bytes, bit_index: int) -> bytes:
 def tamper_message(message, field: str, bit_index: int):
     """Return a copy of the message with one bit of one field flipped."""
     value = getattr(message, field)
-    if isinstance(value, Digest):
-        flipped: "Digest | bytes" = Digest(flip_bit(value.value, bit_index))
-    else:
-        flipped = flip_bit(value, bit_index)
-    return replace(message, **{field: flipped})
+    return replace(message, **{field: type(value)(flip_bit(bytes(value), bit_index))})
 
 
 class AdversarialChannel:

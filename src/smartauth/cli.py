@@ -18,6 +18,7 @@ from .scenarios import (
     EXPECTED_VERDICTS,
     SCENARIOS,
     SCHEMES,
+    SUMMARY_CAPTIONS,
     ScenarioResult,
     matches_expected,
     measure_costs,
@@ -54,17 +55,11 @@ def _resolve_seed(value: int | None) -> int:
         raise SystemExit(2) from None
 
 
-def _verdict_text(result: ScenarioResult) -> str:
-    if result.reason is None:
-        return result.verdict
-    return f"{result.verdict}:{result.reason.value}"
-
-
 def _text_report(trial: int, result: ScenarioResult, transcript) -> str:
     lines = [
         f"== trial {trial} scheme={result.scheme} scenario={result.scenario} seed={result.seed} ==",
         transcript.render().rstrip("\n"),
-        f"verdict: {_verdict_text(result)}",
+        f"verdict: {result.verdict_text}",
         f"messages sent: {result.messages_sent}",
         "hash calls: client={client} server={server}".format(**result.hash_counts),
     ]
@@ -75,14 +70,12 @@ def _text_report(trial: int, result: ScenarioResult, transcript) -> str:
 
 
 def _run_summary(args, results: list[ScenarioResult]) -> str:
-    matched = sum(1 for r in results if matches_expected(r))
-    verdict, _ = EXPECTED_VERDICTS[(args.scheme, args.scenario)]
-    lines = [f"expected verdict: {verdict}; matched: {matched}/{len(results)}"]
-    if args.scenario == "wrong-password-change":
-        if args.scheme == "baseline":
-            lines.append(f"card corrupted: subsequent logins rejected: {matched}/{len(results)}")
-        else:
-            lines.append(f"change rejected, card intact: logins accepted: {matched}/{len(results)}")
+    key = (args.scheme, args.scenario)
+    verdict, _ = EXPECTED_VERDICTS[key]
+    matched = f"{sum(1 for r in results if matches_expected(r))}/{len(results)}"
+    lines = [f"expected verdict: {verdict}; matched: {matched}"]
+    if key in SUMMARY_CAPTIONS:
+        lines.append(f"{SUMMARY_CAPTIONS[key]}: {matched}")
     return "\n".join(lines) + "\n"
 
 
@@ -122,8 +115,8 @@ def cmd_diff(args, seed: int, config: HashConfig) -> int:
         ok = diverged == len(seeds) if expect_diverge else diverged == 0
         all_ok &= ok
         print(
-            f"{scenario:<24} baseline={_verdict_text(sample[0]):<24} "
-            f"improved={_verdict_text(sample[1]):<28} "
+            f"{scenario:<24} baseline={sample[0].verdict_text:<24} "
+            f"improved={sample[1].verdict_text:<28} "
             f"{'diverge' if expect_diverge else 'agree':<8} "
             f"{len(seeds) - diverged if not expect_diverge else diverged}/{len(seeds)} "
             f"{'ok' if ok else 'FAIL'}"

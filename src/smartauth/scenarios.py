@@ -15,44 +15,60 @@ from dataclasses import dataclass, fields as dataclass_fields
 from . import baseline, improved
 from .channel import AdversarialChannel, Tamper, Transcript
 from .hashing import Digest, DigestRng, HashConfig, Hasher
-from .runtime import Reason, Rejected, RegistrationCenter, ServerState
+from .runtime import LOCAL_REASONS, Reason, Rejected, RegistrationCenter, ServerState
 
 # The one place a scheme name is bound to its module.
 _SCHEME_MODULES = {"baseline": baseline, "improved": improved}
 SCHEMES = tuple(_SCHEME_MODULES)
 
-# Sentinel for scenarios where any rejection reason satisfies expectations.
+# Sentinel for scenarios where any wire-side rejection satisfies expectations.
 ANY_REASON = "any"
 
 ID_ALPHABET = bytes(range(0x21, 0x7F))
 
 
+def verdict_class(reason: Reason | str | None) -> str:
+    """``accept`` for no reason; ``local-reject`` if the card itself refused."""
+    if reason is None:
+        return "accept"
+    return "local-reject" if reason in LOCAL_REASONS else "reject"
+
+
 @dataclass
 class ScenarioResult:
-    """Outcome summary; session keys are present exactly when accepted.
+    """Outcome summary; ``reason`` is ``None`` exactly when accepted.
 
-    ``messages_sent`` counts every message placed on the wire, adversary
-    replays included.  ``hash_counts`` are the per-side hash invocations
-    after registration (the biometric gate is uncounted).
+    A session key is present only when accepted, and only for a side that
+    derived one.  ``messages_sent`` counts every message placed on the
+    wire, adversary replays included.  ``hash_counts`` are the per-side
+    hash invocations after registration (the biometric gate is uncounted).
     """
 
     scheme: str
     scenario: str
     seed: int
-    verdict: str  # accept | reject | local-reject
     reason: Reason | None
     messages_sent: int
     hash_counts: dict[str, int]
     client_key: Digest | None = None
     server_key: Digest | None = None
 
+    @property
+    def verdict(self) -> str:
+        return verdict_class(self.reason)
+
+    @property
+    def verdict_text(self) -> str:
+        """``accept``, or the verdict and reason, as in ``reject:replay``."""
+        if self.reason is None:
+            return self.verdict
+        return f"{self.verdict}:{self.reason.value}"
+
 
 def matches_expected(result: ScenarioResult) -> bool:
-    verdict, reason = EXPECTED_VERDICTS[(result.scheme, result.scenario)]
-    if result.verdict != verdict:
-        return False
+    _, reason = EXPECTED_VERDICTS[(result.scheme, result.scenario)]
     if reason is ANY_REASON:
-        return result.reason is not None
+        return result.verdict == "reject"
     return result.reason == reason
 
 
@@ -115,10 +131,8 @@ class _Env:
 
 @dataclass
 class _Outcome:
-    verdict: str
-    reason: Reason | None
+    reason: Reason | None  # None: accepted
     client_key: Digest | None = None
-    server_key: Digest | None = None
     server_session: object = None
     login_hashes: int | None = None  # on accept: the client hash count when ``login`` returned
 
@@ -137,7 +151,7 @@ def _login_exchange(env: _Env, password: bytes) -> _Outcome:
             probe=env.probe("card"),
         )
     except Rejected as exc:
-        return _Outcome("local-reject", exc.reason)
+        return _Outcome(exc.reason)
     login_hashes = env.client_hasher.count
     delivered = env.channel.transmit("client", "server", message)
     try:
@@ -145,7 +159,7 @@ def _login_exchange(env: _Env, password: bytes) -> _Outcome:
             env.server_hasher, env.server, delivered, env.rng, probe=env.probe("server")
         )
     except Rejected as exc:
-        return _Outcome("reject", exc.reason)
+        return _Outcome(exc.reason)
     env.transcript.add(
         "server", "key-derived", (("session_key", server_session.session_key.hex()),)
     )
@@ -160,11 +174,9 @@ def _login_exchange(env: _Env, password: bytes) -> _Outcome:
             probe=env.probe("client"),
         )
     except Rejected as exc:
-        return _Outcome("reject", exc.reason, server_session=server_session)
+        return _Outcome(exc.reason)
     env.transcript.add("client", "key-derived", (("session_key", client_key.hex()),))
-    return _Outcome(
-        "accept", None, client_key, server_session.session_key, server_session, login_hashes
-    )
+    return _Outcome(None, client_key, server_session, login_hashes)
 
 
 def _replay_to_server(env: _Env, index: int) -> _Outcome:
@@ -175,9 +187,10 @@ def _replay_to_server(env: _Env, index: int) -> _Outcome:
             env.server_hasher, env.server, message, env.rng, probe=env.probe("server")
         )
     except Rejected as exc:
-        return _Outcome("reject", exc.reason)
-    # Unreachable for a verbatim replay; kept for honesty if it ever is not.
-    return _Outcome("accept", None, None, server_session.session_key, server_session)
+        return _Outcome(exc.reason)
+    # A stale replay, of a login older than the user's last one, passes the
+    # freshness check: the server derives a key that no client holds.
+    return _Outcome(None, server_session=server_session)
 
 
 def _change_password(env: _Env, old_password: bytes, new_password: bytes) -> Rejected | None:
@@ -202,31 +215,26 @@ def _change_password(env: _Env, old_password: bytes, new_password: bytes) -> Rej
 
 
 def _finalize(env: _Env, outcome: _Outcome) -> tuple[Transcript, ScenarioResult]:
-    if outcome.verdict == "accept":
-        env.transcript.add(
-            "run",
-            "accept",
-            (
-                ("client_key", outcome.client_key.hex()),
-                ("server_key", outcome.server_key.hex()),
-            ),
-            verdict="accept",
-        )
-    else:
-        env.transcript.add(
-            "run", "reject", verdict=f"{outcome.verdict}:{outcome.reason.value}"
-        )
-    accepted = outcome.verdict == "accept"
+    """Summarise the run and write its final event, listing the keys that exist."""
+    keys = {}
+    if outcome.client_key is not None:
+        keys["client_key"] = outcome.client_key
+    if outcome.server_session is not None:
+        keys["server_key"] = outcome.server_session.session_key
     result = ScenarioResult(
         scheme=env.scheme,
         scenario=env.scenario,
         seed=env.seed,
-        verdict=outcome.verdict,
         reason=outcome.reason,
         messages_sent=env.channel.sent,
         hash_counts={"client": env.client_hasher.count, "server": env.server_hasher.count},
-        client_key=outcome.client_key if accepted else None,
-        server_key=outcome.server_key if accepted else None,
+        **keys,
+    )
+    env.transcript.add(
+        "run",
+        "accept" if outcome.reason is None else "reject",
+        tuple((name, key.hex()) for name, key in keys.items()),
+        verdict=result.verdict_text,
     )
     return env.transcript, result
 
@@ -252,7 +260,7 @@ def _scn_wrong_password_change(env: _Env) -> _Outcome:
 def _scn_correct_password_change(env: _Env) -> _Outcome:
     rejection = _change_password(env, env.password, env.new_password)
     if rejection is not None:
-        return _Outcome("local-reject", rejection.reason)
+        return _Outcome(rejection.reason)
     return _login_exchange(env, env.new_password)
 
 
@@ -316,10 +324,10 @@ def _scn_hash_count(env: _Env) -> _Outcome:
 
 def _scn_double_login(env: _Env) -> _Outcome:
     first = _login_exchange(env, env.password)
-    if first.verdict != "accept":
+    if first.reason is not None:
         return first
     second = _login_exchange(env, env.password)
-    if second.verdict != "accept":
+    if second.reason is not None:
         return second
     nonce1 = first.server_session.client_nonce
     nonce2 = second.server_session.client_nonce
@@ -332,41 +340,50 @@ def _scn_double_login(env: _Env) -> _Outcome:
     return _replay_to_server(env, 2)
 
 
-_ACCEPT = ("accept", None)
-_REPLAY = ("reject", Reason.REPLAY)
-
-# Each scenario once: its script, then the expected (verdict, reason) under
-# baseline and under improved.  The order is the order of ``SCENARIOS``,
-# which ``smartauth diff`` prints in.
+# Each scenario once: its script, then the expected reason under baseline
+# and under improved (``None``: accepted), and optionally a caption per
+# scheme for the match count of the ``run`` summary.  The order is the
+# order of ``SCENARIOS``, which ``smartauth diff`` prints in.
 _TABLE = {
-    "honest": (_scn_honest, _ACCEPT, _ACCEPT),
-    "wrong-password": (
-        _scn_wrong_password,
-        ("reject", Reason.CHECKSUM_MISMATCH),
-        ("local-reject", Reason.WRONG_PASSWORD),
-    ),
+    "honest": (_scn_honest, None, None),
+    "wrong-password": (_scn_wrong_password, Reason.CHECKSUM_MISMATCH, Reason.WRONG_PASSWORD),
     "wrong-password-change": (
-        _scn_wrong_password_change, ("reject", Reason.CHECKSUM_MISMATCH), _ACCEPT
+        _scn_wrong_password_change,
+        Reason.CHECKSUM_MISMATCH,
+        None,
+        (
+            "card corrupted: subsequent logins rejected",
+            "change rejected, card intact: logins accepted",
+        ),
     ),
-    "correct-password-change": (_scn_correct_password_change, _ACCEPT, _ACCEPT),
-    "replay": (_scn_replay, _REPLAY, _REPLAY),
-    "tamper": (_scn_tamper, ("reject", ANY_REASON), ("reject", ANY_REASON)),
-    "stolen-card": (_scn_stolen_card, _ACCEPT, _ACCEPT),
-    "hash-count": (_scn_hash_count, _ACCEPT, _ACCEPT),
-    "double-login": (_scn_double_login, _REPLAY, _REPLAY),
+    "correct-password-change": (_scn_correct_password_change, None, None),
+    "replay": (_scn_replay, Reason.REPLAY, Reason.REPLAY),
+    "tamper": (_scn_tamper, ANY_REASON, ANY_REASON),
+    "stolen-card": (_scn_stolen_card, None, None),
+    "hash-count": (_scn_hash_count, None, None),
+    "double-login": (_scn_double_login, Reason.REPLAY, Reason.REPLAY),
 }
 
 SCENARIOS = tuple(_TABLE)
 
 EXPECTED_VERDICTS: dict[tuple[str, str], tuple[str, object]] = {
-    (scheme, scenario): expected
-    for scenario, (_, *by_scheme) in _TABLE.items()
-    for scheme, expected in zip(SCHEMES, by_scheme)
+    (scheme, scenario): (verdict_class(reason), reason)
+    for scenario, (_, base, hardened, *_) in _TABLE.items()
+    for scheme, reason in zip(SCHEMES, (base, hardened))
+}
+
+SUMMARY_CAPTIONS: dict[tuple[str, str], str] = {
+    (scheme, scenario): caption
+    for scenario, (_, _, _, *captions) in _TABLE.items()
+    for per_scheme in captions
+    for scheme, caption in zip(SCHEMES, per_scheme)
 }
 
 # The scenarios where the two schemes are expected to reach different verdicts.
 DIVERGING_SCENARIOS = tuple(
-    scenario for scenario, (_, base, hardened) in _TABLE.items() if base[0] != hardened[0]
+    scenario
+    for scenario, (_, base, hardened, *_) in _TABLE.items()
+    if verdict_class(base) != verdict_class(hardened)
 )
 
 
@@ -382,7 +399,7 @@ def run_scenario(
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     env = _Env(scheme, scenario, seed, config or HashConfig())
-    script, _, _ = _TABLE[scenario]
+    script = _TABLE[scenario][0]
     return _finalize(env, script(env))
 
 
@@ -420,7 +437,7 @@ def measure_costs(config: HashConfig | None = None, seed: int = 0) -> CostReport
     for scheme in SCHEMES:
         env = _Env(scheme, "hash-count", seed, config)
         outcome = _login_exchange(env, env.password)
-        if outcome.verdict != "accept":
+        if outcome.reason is not None:
             raise Rejected(outcome.reason, f"honest {scheme} run did not accept")
         phases[scheme] = {
             "login (client)": outcome.login_hashes,

@@ -6,7 +6,7 @@ import pytest
 
 from smartauth import SCENARIOS, SCHEMES, matches_expected, measure_costs, run_scenario
 from smartauth.cli import main
-from smartauth.scenarios import _Env
+from smartauth.scenarios import _Env, _finalize, _login_exchange, _replay_to_server
 from smartauth.hashing import HashConfig
 
 
@@ -122,16 +122,35 @@ def test_double_login_replaces_entry_then_rejects_replay():
     assert result.messages_sent == 5
 
 
-def test_replay_scenario_rejects_after_all_other_checks_pass():
-    transcript, _ = run_scenario("improved", "replay", seed=8)
-    tail = [e.verdict for e in transcript.events[-5:]]
-    assert tail == [
-        "replay:0",
-        "id-format:ok",
-        "nonce-tag:ok",
-        "checksum:ok",
-        "nonce-freshness:fail:replay",
-    ] or tail[-1] == "reject:replay"
+@pytest.mark.parametrize(
+    "scheme,checks",
+    [
+        ("baseline", ["id-format:ok", "checksum:ok"]),
+        ("improved", ["id-format:ok", "nonce-tag:ok", "checksum:ok"]),
+    ],
+)
+def test_replay_scenario_rejects_after_all_other_checks_pass(scheme, checks):
+    transcript, _ = run_scenario(scheme, "replay", seed=8)
+    verdicts = [e.verdict for e in transcript.events]
+    # The server's receive event for the replayed message carries no verdict.
+    assert verdicts[verdicts.index("replay:0"):] == [
+        "replay:0", "", *checks, "nonce-freshness:fail:replay", "reject:replay"
+    ]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_stale_replay_through_the_runner_lists_only_the_server_key(scheme):
+    # Once a second login has replaced the stored nonce, resending the first
+    # one passes as fresh: the server derives a key that no client holds.
+    env = _Env(scheme, "replay", 0, HashConfig())
+    _login_exchange(env, env.password)
+    _login_exchange(env, env.password)
+    transcript, result = _finalize(env, _replay_to_server(env, 0))
+    assert result.verdict == "accept"
+    assert result.client_key is None and result.server_key is not None
+    final = transcript.final
+    assert (final.actor, final.kind, final.verdict) == ("run", "accept", "accept")
+    assert final.fields == (("server_key", result.server_key.hex()),)
 
 
 def test_tamper_scenario_rejects_across_seeds():
