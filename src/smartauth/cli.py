@@ -63,40 +63,40 @@ def _text_report(trial: int, result: ScenarioResult, transcript) -> str:
         f"messages sent: {result.messages_sent}",
         "hash calls: client={client} server={server}".format(**result.hash_counts),
     ]
-    if result.client_key is not None:
-        lines.append(f"client session key: {result.client_key.hex()}")
-        lines.append(f"server session key: {result.server_key.hex()}")
+    for side, key in (("client", result.client_key), ("server", result.server_key)):
+        if key is not None:
+            lines.append(f"{side} session key: {key.hex()}")
     return "\n".join(lines) + "\n"
 
 
-def _run_summary(args, results: list[ScenarioResult]) -> str:
+def _run_summary(args, matched: list[bool]) -> str:
     key = (args.scheme, args.scenario)
     verdict, _ = EXPECTED_VERDICTS[key]
-    matched = f"{sum(1 for r in results if matches_expected(r))}/{len(results)}"
-    lines = [f"expected verdict: {verdict}; matched: {matched}"]
+    tally = f"{sum(matched)}/{len(matched)}"
+    lines = [f"expected verdict: {verdict}; matched: {tally}"]
     if key in SUMMARY_CAPTIONS:
-        lines.append(f"{SUMMARY_CAPTIONS[key]}: {matched}")
+        lines.append(f"{SUMMARY_CAPTIONS[key]}: {tally}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_run(args, seed: int, config: HashConfig) -> int:
     chunks = []
-    results = []
+    matched = []
     for trial in range(args.trials):
         transcript, result = run_scenario(args.scheme, args.scenario, seed + trial, config)
-        results.append(result)
+        matched.append(matches_expected(result))
         if args.format == "structured-lines":
             chunks.append(transcript.render())
         else:
             chunks.append(_text_report(trial, result, transcript))
     if args.format == "text":
-        chunks.append(_run_summary(args, results))
+        chunks.append(_run_summary(args, matched))
     output = "".join(chunks)
     if args.out is not None:
         Path(args.out).write_text(output, encoding="utf-8")
     else:
         sys.stdout.write(output)
-    return 0 if all(matches_expected(r) for r in results) else 1
+    return 0 if all(matched) else 1
 
 
 def cmd_diff(args, seed: int, config: HashConfig) -> int:

@@ -1,20 +1,20 @@
 """Digest arithmetic, unambiguous input framing, and counted hashing.
 
-Every protocol value is a fixed-width digest.  Multi-part hash inputs are
-framed with a 4-byte big-endian length prefix per part before hashing, so
-two different part lists can never collide by concatenation (``h(a, b)``
-and ``h(ab)`` see different input bytes).  The framing lives only in
-``encode_parts``, which takes ``bytes`` and ``Digest`` parts alike.  Toy
-digest widths (1 and 2 bytes) exist only so oracle tests can enumerate the
-full value space.
+Every protocol value is a fixed-width digest, and a digest is its bytes:
+``Digest`` subclasses ``bytes`` and adds only width-checked XOR.
+Multi-part hash inputs are framed with a 4-byte big-endian length prefix
+per part before hashing, so two different part lists can never collide by
+concatenation (``h(a, b)`` and ``h(ab)`` see different input bytes).  The
+framing lives only in ``encode_parts``.  Toy digest widths (1 and 2 bytes)
+exist only so oracle tests can enumerate the full value space.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
+from hashlib import sha256 as _sha256
 
 SALT_SIZE = 16
 MAX_PART_SIZE = 2**32 - 1
@@ -34,53 +34,57 @@ class OversizedPartError(ValueError):
     """Raised when a hash-input part does not fit a 4-byte length prefix."""
 
 
-@dataclass(frozen=True, slots=True)
-class Digest:
-    """An immutable fixed-width byte string supporting XOR masking."""
+class Digest(bytes):
+    """An immutable fixed-width byte string supporting XOR masking.
 
-    value: bytes
+    A digest is its bytes: it compares equal to, and hashes like, the same
+    ``bytes``, and slicing it gives ``bytes``.  XOR is defined only between
+    two digests of the same width.
+    """
+
+    __slots__ = ()
+
+    @property
+    def value(self) -> bytes:
+        return bytes(self)
 
     def __xor__(self, other: "Digest") -> "Digest":
         if not isinstance(other, Digest):
             return NotImplemented
-        width = len(self.value)
-        if width != len(other.value):
-            raise DigestLengthError(f"cannot xor digests of {width} and {len(other.value)} bytes")
-        mixed = int.from_bytes(self.value, "big") ^ int.from_bytes(other.value, "big")
+        width = len(self)
+        if width != len(other):
+            raise DigestLengthError(f"cannot xor digests of {width} and {len(other)} bytes")
+        mixed = int.from_bytes(self, "big") ^ int.from_bytes(other, "big")
         return Digest(mixed.to_bytes(width, "big"))
 
-    def hex(self) -> str:
-        return self.value.hex()
-
-    def __bytes__(self) -> bytes:
-        return self.value
-
-    def __len__(self) -> int:
-        return len(self.value)
-
     def __repr__(self) -> str:
-        return f"Digest({self.value.hex()})"
+        return f"Digest({self.hex()})"
 
     @classmethod
     def zero(cls, size: int) -> "Digest":
         return cls(bytes(size))
 
 
-def encode_parts(parts: "Iterable[bytes | Digest]") -> bytes:
-    """Frame a sequence of ``bytes`` or ``Digest`` parts into one unambiguous input.
+# Length prefixes of the short parts every protocol hash is made of.
+_SHORT_PREFIXES = tuple(size.to_bytes(4, "big") for size in range(256))
+
+
+def encode_parts(parts: "Iterable[bytes]") -> bytes:
+    """Frame a sequence of byte-string parts into one unambiguous input.
 
     Each part is preceded by its length as a 4-byte big-endian integer,
-    which makes the encoding injective over part lists.  A ``Digest``
-    frames exactly like its ``value`` bytes.
+    which makes the encoding injective over part lists.  A ``Digest`` is
+    its bytes, so it frames like them.
     """
     chunks = []
     for part in parts:
-        if isinstance(part, Digest):
-            part = part.value
         size = len(part)
-        if size > MAX_PART_SIZE:
+        if size < 256:
+            chunks.append(_SHORT_PREFIXES[size])
+        elif size > MAX_PART_SIZE:
             raise OversizedPartError(f"part of {size} bytes exceeds the length prefix")
-        chunks.append(size.to_bytes(4, "big"))
+        else:
+            chunks.append(size.to_bytes(4, "big"))
         chunks.append(part)
     return b"".join(chunks)
 
@@ -113,7 +117,9 @@ class Hasher:
     and truncates sha256 to the configured width.  The counter
     increments by exactly one per ``hash`` call; ``hash_uncounted``
     computes the same digest without touching the counter (used for the
-    biometric gate, which the cost accounting excludes).
+    biometric gate, which the cost accounting excludes).  Each spells out
+    the one-line hash rather than calling the other, which keeps a
+    protocol hash to a single Python call on the login hot path.
     """
 
     def __init__(self, config: HashConfig | None = None) -> None:
@@ -121,12 +127,12 @@ class Hasher:
         self.count = 0
         self.digest_size = self.config.digest_size
 
-    def hash(self, *parts: "bytes | Digest") -> Digest:
+    def hash(self, *parts: bytes) -> Digest:
         self.count += 1
-        return self.hash_uncounted(*parts)
+        return Digest(_sha256(encode_parts(parts)).digest()[: self.digest_size])
 
-    def hash_uncounted(self, *parts: "bytes | Digest") -> Digest:
-        return Digest(hashlib.sha256(encode_parts(parts)).digest()[: self.digest_size])
+    def hash_uncounted(self, *parts: bytes) -> Digest:
+        return Digest(_sha256(encode_parts(parts)).digest()[: self.digest_size])
 
 
 class DigestRng:

@@ -56,11 +56,12 @@ class Rejected(Exception):
         return self.reason in LOCAL_REASONS
 
 
+_ID_FORMAT = re.compile(rb"[\x21-\x7e]{1,%d}" % MAX_ID_BYTES)
+
+
 def check_id_format(identity: bytes) -> bool:
     """True iff the identity is 1..64 bytes of printable 7-bit, no whitespace."""
-    if not 1 <= len(identity) <= MAX_ID_BYTES:
-        return False
-    return all(0x21 <= b <= 0x7E for b in identity)
+    return _ID_FORMAT.fullmatch(identity) is not None
 
 
 def check_credentials(user_id: bytes, password: bytes, biometric: bytes) -> None:

@@ -119,6 +119,33 @@ def test_xor_with_non_digest_raises_type_error():
         Digest(b"a") ^ b"a"
 
 
+def test_xor_of_bytes_with_digest_raises_type_error():
+    with pytest.raises(TypeError):
+        b"a" ^ Digest(b"a")
+
+
+def test_digest_operations_return_digests():
+    hasher = Hasher()
+    assert type(Digest(b"\x01") ^ Digest(b"\x02")) is Digest
+    assert type(hasher.hash(b"x")) is Digest
+    assert type(hasher.hash_uncounted(b"x")) is Digest
+    assert type(DigestRng(0, 32).digest()) is Digest
+
+
+def test_digest_value_is_plain_bytes():
+    assert type(Digest(b"x").value) is bytes
+    assert Digest(b"x").value == b"x"
+
+
+def test_digest_is_its_bytes():
+    # Deliberate: a digest equals, and hashes like, the same bytes; a
+    # slice is plain bytes; only the repr says it is a digest.
+    assert Digest(b"a") == b"a"
+    assert hash(Digest(b"a")) == hash(b"a")
+    assert type(Digest(b"ab")[:1]) is bytes
+    assert repr(Digest(b"\x01\xff")) == "Digest(01ff)"
+
+
 def test_digest_is_slotted():
     assert not hasattr(Digest(b"x"), "__dict__")
 

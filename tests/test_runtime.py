@@ -43,6 +43,21 @@ def test_id_format_rejects_bad_lengths_and_bytes():
         assert not check_id_format(bad)
 
 
+def _bytewise_id_format(identity: bytes) -> bool:
+    # The per-byte definition the compiled pattern replaced.
+    if not 1 <= len(identity) <= 64:
+        return False
+    return all(0x21 <= b <= 0x7E for b in identity)
+
+
+def test_id_format_matches_the_bytewise_definition():
+    cases = [bytes([b]) for b in range(256)]
+    cases += [b"x" * n for n in (0, 1, 64, 65)]
+    cases += [b"x" * 63 + bytes([b]) for b in range(256)]
+    for identity in cases:
+        assert check_id_format(identity) == _bytewise_id_format(identity), identity
+
+
 # --- replay database ---------------------------------------------------
 
 def test_replay_db_stores_fresh_nonce():

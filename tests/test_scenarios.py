@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from smartauth import SCENARIOS, SCHEMES, matches_expected, measure_costs, run_scenario
-from smartauth.cli import main
+from smartauth.cli import _text_report, main
 from smartauth.scenarios import _Env, _finalize, _login_exchange, _replay_to_server
 from smartauth.hashing import HashConfig
 
@@ -151,6 +151,10 @@ def test_stale_replay_through_the_runner_lists_only_the_server_key(scheme):
     final = transcript.final
     assert (final.actor, final.kind, final.verdict) == ("run", "accept", "accept")
     assert final.fields == (("server_key", result.server_key.hex()),)
+    report = _text_report(0, result, transcript).splitlines()
+    assert [line for line in report if "session key" in line] == [
+        f"server session key: {result.server_key.hex()}"
+    ]
 
 
 def test_tamper_scenario_rejects_across_seeds():
