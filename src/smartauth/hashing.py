@@ -44,10 +44,6 @@ class Digest(bytes):
 
     __slots__ = ()
 
-    @property
-    def value(self) -> bytes:
-        return bytes(self)
-
     def __xor__(self, other: "Digest") -> "Digest":
         if not isinstance(other, Digest):
             return NotImplemented

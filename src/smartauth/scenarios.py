@@ -4,11 +4,15 @@
 one integer seed, drives the chosen scheme through the adversarial
 channel, and returns a transcript plus a summary result.  The same
 (scheme, scenario, seed, hash config) always yields a byte-identical
-transcript.
+transcript.  A scenario's script returns the keys it derived: the client
+key (``None`` when no client derived one) and the server session.  The
+first rejection a script does not catch ends the run and is its reason;
+``_run`` is the one place that turns a rejection into an outcome.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass, fields as dataclass_fields
 
@@ -90,7 +94,7 @@ class _Env:
         size = config.digest_size
         master_secret = Digest(self.master.randbytes(size))
         shared_secret = Digest(self.master.randbytes(size))
-        self.rc = RegistrationCenter(master_secret, shared_secret)
+        rc = RegistrationCenter(master_secret, shared_secret)
         self.server = ServerState(
             master_secret,
             shared_secret,
@@ -101,11 +105,12 @@ class _Env:
         self.client_hasher = Hasher(config)
         self.server_hasher = Hasher(config)
         self.transcript = Transcript()
+        self.login_hashes: int | None = None  # client hash count when the last ``login`` returned
         self.channel = AdversarialChannel(self.transcript)
         # Registration happens over a secure channel the adversary never
         # sees, so it produces no transcript events and uses its own hasher.
         self.card = self.mod.register(
-            self.setup_hasher, self.rc, self.user_id, self.password, self.biometric, self.rng
+            self.setup_hasher, rc, self.user_id, self.password, self.biometric, self.rng
         )
 
     def probe(self, actor: str):
@@ -129,72 +134,52 @@ class _Env:
         return secret
 
 
-@dataclass
-class _Outcome:
-    reason: Reason | None  # None: accepted
-    client_key: Digest | None = None
-    server_session: object = None
-    login_hashes: int | None = None  # on accept: the client hash count when ``login`` returned
-
-
-def _login_exchange(env: _Env, password: bytes) -> _Outcome:
-    """One full login attempt through the channel, whatever the outcome."""
+def _login_exchange(env: _Env, password: bytes) -> tuple[Digest, object]:
+    """One full login through the channel; returns the client key and server session."""
     mod = env.mod
-    try:
-        message, client_session = mod.login(
-            env.client_hasher,
-            env.card,
-            env.user_id,
-            password,
-            env.biometric,
-            env.rng,
-            probe=env.probe("card"),
-        )
-    except Rejected as exc:
-        return _Outcome(exc.reason)
-    login_hashes = env.client_hasher.count
+    message, client_session = mod.login(
+        env.client_hasher,
+        env.card,
+        env.user_id,
+        password,
+        env.biometric,
+        env.rng,
+        probe=env.probe("card"),
+    )
+    env.login_hashes = env.client_hasher.count
     delivered = env.channel.transmit("client", "server", message)
-    try:
-        response, server_session = mod.authenticate(
-            env.server_hasher, env.server, delivered, env.rng, probe=env.probe("server")
-        )
-    except Rejected as exc:
-        return _Outcome(exc.reason)
+    response, server_session = mod.authenticate(
+        env.server_hasher, env.server, delivered, env.rng, probe=env.probe("server")
+    )
     env.transcript.add(
         "server", "key-derived", (("session_key", server_session.session_key.hex()),)
     )
     delivered_response = env.channel.transmit("server", "client", response)
-    try:
-        client_key = mod.verify_server(
-            env.client_hasher,
-            client_session,
-            env.card,
-            delivered_response,
-            env.server.server_id,
-            probe=env.probe("client"),
-        )
-    except Rejected as exc:
-        return _Outcome(exc.reason)
+    client_key = mod.verify_server(
+        env.client_hasher,
+        client_session,
+        env.card,
+        delivered_response,
+        env.server.server_id,
+        probe=env.probe("client"),
+    )
     env.transcript.add("client", "key-derived", (("session_key", client_key.hex()),))
-    return _Outcome(None, client_key, server_session, login_hashes)
+    return client_key, server_session
 
 
-def _replay_to_server(env: _Env, index: int) -> _Outcome:
+def _replay_to_server(env: _Env, index: int) -> tuple[None, object]:
     """Adversary resends a captured login message to the server."""
     message = env.channel.replay(index, "server")
-    try:
-        _, server_session = env.mod.authenticate(
-            env.server_hasher, env.server, message, env.rng, probe=env.probe("server")
-        )
-    except Rejected as exc:
-        return _Outcome(exc.reason)
+    _, server_session = env.mod.authenticate(
+        env.server_hasher, env.server, message, env.rng, probe=env.probe("server")
+    )
     # A stale replay, of a login older than the user's last one, passes the
     # freshness check: the server derives a key that no client holds.
-    return _Outcome(None, server_session=server_session)
+    return None, server_session
 
 
-def _change_password(env: _Env, old_password: bytes, new_password: bytes) -> Rejected | None:
-    """Attempt a password change on the card; returns the rejection, if any."""
+def _change_password(env: _Env, old_password: bytes, new_password: bytes) -> None:
+    """Attempt a password change on the card; a refusal is recorded, then re-raised."""
     before = env.card
     try:
         env.card = env.mod.change_password(
@@ -205,66 +190,71 @@ def _change_password(env: _Env, old_password: bytes, new_password: bytes) -> Rej
             new_password,
             probe=env.probe("card"),
         )
-    except Rejected as exc:
+    except Rejected:
         unchanged = env.card == before
         env.transcript.add(
             "card", "verify", verdict="card-unchanged:ok" if unchanged else "card-unchanged:fail"
         )
-        return exc
-    return None
+        raise
 
 
-def _finalize(env: _Env, outcome: _Outcome) -> tuple[Transcript, ScenarioResult]:
-    """Summarise the run and write its final event, listing the keys that exist."""
+def _run(env: _Env, script) -> tuple[Transcript, ScenarioResult]:
+    """Run a script, then summarise it and write the final event listing the keys that exist."""
+    reason = client_key = server_session = None
+    try:
+        client_key, server_session = script(env)
+    except Rejected as exc:
+        reason = exc.reason
     keys = {}
-    if outcome.client_key is not None:
-        keys["client_key"] = outcome.client_key
-    if outcome.server_session is not None:
-        keys["server_key"] = outcome.server_session.session_key
+    if client_key is not None:
+        keys["client_key"] = client_key
+    if server_session is not None:
+        keys["server_key"] = server_session.session_key
     result = ScenarioResult(
         scheme=env.scheme,
         scenario=env.scenario,
         seed=env.seed,
-        reason=outcome.reason,
+        reason=reason,
         messages_sent=env.channel.sent,
         hash_counts={"client": env.client_hasher.count, "server": env.server_hasher.count},
         **keys,
     )
     env.transcript.add(
         "run",
-        "accept" if outcome.reason is None else "reject",
+        "accept" if reason is None else "reject",
         tuple((name, key.hex()) for name, key in keys.items()),
         verdict=result.verdict_text,
     )
     return env.transcript, result
 
 
-def _scn_honest(env: _Env) -> _Outcome:
+def _scn_honest(env: _Env) -> tuple[Digest | None, object]:
     return _login_exchange(env, env.password)
 
 
-def _scn_wrong_password(env: _Env) -> _Outcome:
+def _scn_wrong_password(env: _Env) -> tuple[Digest | None, object]:
     return _login_exchange(env, env.wrong_password)
 
 
-def _scn_wrong_password_change(env: _Env) -> _Outcome:
-    rejection = _change_password(env, env.wrong_password, env.new_password)
-    if rejection is None:
+def _scn_wrong_password_change(env: _Env) -> tuple[Digest | None, object]:
+    try:
+        _change_password(env, env.wrong_password, env.new_password)
+    except Rejected:
+        pass  # Refused locally: the unchanged password must still work.
+    else:
         # The change went through with a wrong old password (baseline flaw):
         # the card is corrupted and neither password works any more.
-        _login_exchange(env, env.new_password)
-    # If the change was refused locally, the unchanged password must still work.
+        with contextlib.suppress(Rejected):
+            _login_exchange(env, env.new_password)
     return _login_exchange(env, env.password)
 
 
-def _scn_correct_password_change(env: _Env) -> _Outcome:
-    rejection = _change_password(env, env.password, env.new_password)
-    if rejection is not None:
-        return _Outcome(rejection.reason)
+def _scn_correct_password_change(env: _Env) -> tuple[Digest | None, object]:
+    _change_password(env, env.password, env.new_password)
     return _login_exchange(env, env.new_password)
 
 
-def _scn_replay(env: _Env) -> _Outcome:
+def _scn_replay(env: _Env) -> tuple[Digest | None, object]:
     _login_exchange(env, env.password)
     # Captured message 0 is the login request; resend it verbatim.
     return _replay_to_server(env, 0)
@@ -281,13 +271,13 @@ def _tamper_targets(env: _Env) -> list[tuple[str, int]]:
     return targets
 
 
-def _scn_tamper(env: _Env) -> _Outcome:
+def _scn_tamper(env: _Env) -> tuple[Digest | None, object]:
     field, nbits = env.master.choice(_tamper_targets(env))
     env.channel.policy = Tamper(field, env.master.randrange(nbits))
     return _login_exchange(env, env.password)
 
 
-def _scn_stolen_card(env: _Env) -> _Outcome:
+def _scn_stolen_card(env: _Env) -> tuple[Digest | None, object]:
     breach_fields = [("sealed_key", env.card.sealed_key.hex())]
     if env.mod.SCHEME.hardened:
         breach_fields.append(("verifier", env.card.verifier.hex()))
@@ -312,25 +302,21 @@ def _record_extraction(env: _Env, truth: Digest) -> None:
         )
 
 
-def _scn_hash_count(env: _Env) -> _Outcome:
-    outcome = _login_exchange(env, env.password)
+def _scn_hash_count(env: _Env) -> tuple[Digest | None, object]:
+    keys = _login_exchange(env, env.password)
     env.transcript.add(
         "run",
         "verify",
         verdict=f"hash-count:client={env.client_hasher.count}:server={env.server_hasher.count}",
     )
-    return outcome
+    return keys
 
 
-def _scn_double_login(env: _Env) -> _Outcome:
-    first = _login_exchange(env, env.password)
-    if first.reason is not None:
-        return first
-    second = _login_exchange(env, env.password)
-    if second.reason is not None:
-        return second
-    nonce1 = first.server_session.client_nonce
-    nonce2 = second.server_session.client_nonce
+def _scn_double_login(env: _Env) -> tuple[Digest | None, object]:
+    _, first = _login_exchange(env, env.password)
+    _, second = _login_exchange(env, env.password)
+    nonce1 = first.client_nonce
+    nonce2 = second.client_nonce
     replaced = nonce1 != nonce2 and env.server.replay_db[env.user_id] == nonce2
     env.transcript.add(
         "server", "verify", verdict="nonce-replaced:ok" if replaced else "nonce-replaced:fail"
@@ -399,8 +385,7 @@ def run_scenario(
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     env = _Env(scheme, scenario, seed, config or HashConfig())
-    script = _TABLE[scenario][0]
-    return _finalize(env, script(env))
+    return _run(env, _TABLE[scenario][0])
 
 
 @dataclass
@@ -436,13 +421,11 @@ def measure_costs(config: HashConfig | None = None, seed: int = 0) -> CostReport
     card_digests: dict[str, int] = {}
     for scheme in SCHEMES:
         env = _Env(scheme, "hash-count", seed, config)
-        outcome = _login_exchange(env, env.password)
-        if outcome.reason is not None:
-            raise Rejected(outcome.reason, f"honest {scheme} run did not accept")
+        _login_exchange(env, env.password)
         phases[scheme] = {
-            "login (client)": outcome.login_hashes,
+            "login (client)": env.login_hashes,
             "authentication (server)": env.server_hasher.count,
-            "authentication (client)": env.client_hasher.count - outcome.login_hashes,
+            "authentication (client)": env.client_hasher.count - env.login_hashes,
         }
         card_digests[scheme] = sum(
             1

@@ -18,8 +18,8 @@ def test_register_seals_identity_key_under_password_verifier():
     bio_template = raw_hash(32, s.biometric)
     verifier = raw_hash(32, pw_digest, bio_template)
     identity_key = raw_hash(32, s.user_id, bytes(s.rc.master_secret))
-    assert card.bio_template.value == bio_template
-    assert card.sealed_key.value == xor_bytes(identity_key, verifier)
+    assert bytes(card.bio_template) == bio_template
+    assert bytes(card.sealed_key) == xor_bytes(identity_key, verifier)
     assert card.shared_secret == s.rc.shared_secret
     assert len(card.salt) == 16
     assert not hasattr(card, "verifier")
@@ -138,6 +138,34 @@ def test_replay_rejected_then_fresh_login_replaces_entry():
     message2, _ = baseline.login(s.hasher, s.card, s.user_id, s.password, s.biometric, s.rng)
     baseline.authenticate(s.hasher, s.server, message2, s.rng)
     assert s.server.replay_db[s.user_id] != first_nonce
+
+
+def test_stolen_card_and_one_captured_login_allow_offline_password_guessing():
+    # Each guess gives a verifier, hence an identity key, client nonce and
+    # nonce tag; only the right guess reproduces the captured checksum.
+    # Four hashes per guess, with no server in the loop.  Faithfully
+    # reproduced, and pinned here so nobody fixes it by accident.
+    s = make_setup(baseline, seed=15)
+    captured, _ = baseline.login(s.hasher, s.card, s.user_id, s.password, s.biometric, s.rng)
+    card = s.card
+    shared = bytes(card.shared_secret)
+    masked_nonce = bytes(captured.masked_nonce)
+    masked_pw_digest = bytes(captured.masked_pw_digest)
+
+    def matches(guess: bytes) -> bool:
+        pw_digest = raw_hash(32, card.salt, guess)
+        verifier = raw_hash(32, pw_digest, bytes(card.bio_template))
+        client_nonce = xor_bytes(masked_nonce, xor_bytes(bytes(card.sealed_key), verifier))
+        nonce_tag = raw_hash(32, shared, client_nonce)
+        return raw_hash(32, masked_nonce, nonce_tag, masked_pw_digest) == captured.checksum
+
+    rnd = random.Random(15)
+    letters = b"abcdefghijklmnopqrstuvwxyz0123456789-"
+    words = {bytes(rnd.choices(letters, k=rnd.randint(6, 14))) for _ in range(1000)}
+    words.add(s.password)
+    dictionary = sorted(words)
+    assert len(dictionary) > 1000
+    assert [guess for guess in dictionary if matches(guess)] == [s.password]
 
 
 def test_change_password_with_correct_old_keeps_the_card_working():

@@ -60,7 +60,7 @@ def test_hash_matches_raw_reference():
         hasher = Hasher(config)
         for _ in range(50):
             parts = [rnd.randbytes(rnd.randint(0, 8)) for _ in range(rnd.randint(1, 4))]
-            assert hasher.hash(*parts).value == raw_hash(config.digest_size, *parts)
+            assert bytes(hasher.hash(*parts)) == raw_hash(config.digest_size, *parts)
 
 
 def test_hash_accepts_digest_parts():
@@ -106,12 +106,12 @@ def test_xor_matches_bytewise_reference(width):
     rnd = random.Random(width)
     for _ in range(500):
         a, b = rnd.randbytes(width), rnd.randbytes(width)
-        assert (Digest(a) ^ Digest(b)).value == xor_bytes(a, b)
+        assert bytes(Digest(a) ^ Digest(b)) == xor_bytes(a, b)
 
 
 def test_xor_keeps_width_with_leading_zero_bytes():
     assert Digest(b"\x80\x00") ^ Digest(b"\x80\x00") == Digest(b"\x00\x00")
-    assert (Digest(b"\x01" * 32) ^ Digest(b"\x01" * 31 + b"\x00")).value == bytes(31) + b"\x01"
+    assert bytes(Digest(b"\x01" * 32) ^ Digest(b"\x01" * 31 + b"\x00")) == bytes(31) + b"\x01"
 
 
 def test_xor_with_non_digest_raises_type_error():
@@ -130,11 +130,6 @@ def test_digest_operations_return_digests():
     assert type(hasher.hash(b"x")) is Digest
     assert type(hasher.hash_uncounted(b"x")) is Digest
     assert type(DigestRng(0, 32).digest()) is Digest
-
-
-def test_digest_value_is_plain_bytes():
-    assert type(Digest(b"x").value) is bytes
-    assert Digest(b"x").value == b"x"
 
 
 def test_digest_is_its_bytes():

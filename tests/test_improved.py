@@ -261,6 +261,44 @@ def test_extract_identity_key_equals_server_side_derivation():
     assert bytes(improved.extract_identity_key(changed)) == expected
 
 
+def test_stolen_card_alone_impersonates_the_user():
+    # The server never checks the password digest: it only unmasks it and
+    # mixes it into the key.  So the card alone is enough to log in, with
+    # no password and no biometric: its identity key and shared secret
+    # forge every other login field.  Faithfully reproduced, and pinned
+    # here so nobody fixes it by accident.
+    s = make_setup(improved, seed=30)
+    identity_key = bytes(improved.extract_identity_key(s.card))
+    shared = bytes(s.card.shared_secret)
+    rnd = random.Random(30)
+    client_nonce = rnd.randbytes(32)
+    masked_nonce = xor_bytes(identity_key, client_nonce)
+    nonce_tag = raw_hash(32, shared, client_nonce)
+    masked_pw_digest = rnd.randbytes(32)  # any value: nothing checks it
+    checksum = raw_hash(32, masked_nonce, nonce_tag, masked_pw_digest)
+    # The user id is the only other input, and every login sends it in clear.
+    forged = improved.LoginMessage(
+        user_id=s.user_id,
+        masked_nonce=Digest(masked_nonce),
+        nonce_tag=Digest(nonce_tag),
+        masked_pw_digest=Digest(masked_pw_digest),
+        checksum=Digest(checksum),
+    )
+    response, session = improved.authenticate(s.hasher, s.server, forged, s.rng)
+
+    # The thief unblinds the server nonce, sees the server's own checks
+    # pass, and derives the session key the server now holds.
+    pw_digest = xor_bytes(masked_pw_digest, nonce_tag)
+    blind = raw_hash(32, pw_digest, s.server_id, shared)
+    server_nonce = xor_bytes(xor_bytes(blind, nonce_tag), bytes(response.masked_server_nonce))
+    assert raw_hash(32, shared, server_nonce) == bytes(response.server_nonce_tag)
+    assert raw_hash(32, identity_key, pw_digest, shared, server_nonce) == bytes(
+        response.server_checksum
+    )
+    key = raw_hash(32, pw_digest, nonce_tag, server_nonce, s.server_id)
+    assert key == bytes(session.session_key)
+
+
 def test_hash_count_delta_against_baseline_is_two():
     counts = {}
     for mod in (baseline, improved):

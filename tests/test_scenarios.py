@@ -1,12 +1,13 @@
 """Scenario scripts: verdicts, determinism, and transcript structure."""
 
+import gc
 import hashlib
 
 import pytest
 
 from smartauth import SCENARIOS, SCHEMES, matches_expected, measure_costs, run_scenario
 from smartauth.cli import _text_report, main
-from smartauth.scenarios import _Env, _finalize, _login_exchange, _replay_to_server
+from smartauth.scenarios import _Env, _login_exchange, _replay_to_server, _run
 from smartauth.hashing import HashConfig
 
 
@@ -142,10 +143,12 @@ def test_replay_scenario_rejects_after_all_other_checks_pass(scheme, checks):
 def test_stale_replay_through_the_runner_lists_only_the_server_key(scheme):
     # Once a second login has replaced the stored nonce, resending the first
     # one passes as fresh: the server derives a key that no client holds.
-    env = _Env(scheme, "replay", 0, HashConfig())
-    _login_exchange(env, env.password)
-    _login_exchange(env, env.password)
-    transcript, result = _finalize(env, _replay_to_server(env, 0))
+    def script(env):
+        _login_exchange(env, env.password)
+        _login_exchange(env, env.password)
+        return _replay_to_server(env, 0)
+
+    transcript, result = _run(_Env(scheme, "replay", 0, HashConfig()), script)
     assert result.verdict == "accept"
     assert result.client_key is None and result.server_key is not None
     final = transcript.final
@@ -155,6 +158,20 @@ def test_stale_replay_through_the_runner_lists_only_the_server_key(scheme):
     assert [line for line in report if "session key" in line] == [
         f"server session key: {result.server_key.hex()}"
     ]
+
+
+def test_runs_leave_no_reference_cycles():
+    # A caught rejection kept alive together with its traceback forms a
+    # cycle through the frames that holds a whole run (card, hashers,
+    # transcript) until the cyclic collector runs; the scripts keep none.
+    gc.collect()
+    gc.disable()
+    try:
+        for scheme, scenario in ALL_COMBOS:
+            run_scenario(scheme, scenario, seed=3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_tamper_scenario_rejects_across_seeds():
