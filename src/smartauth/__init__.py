@@ -7,7 +7,7 @@ through an adversarial channel and returns a deterministic transcript.
 
 from . import baseline, improved
 from .channel import AdversarialChannel, Event, Tamper, Transcript
-from .hashing import Digest, DigestRng, HashConfig, Hasher
+from .hashing import Digest, DigestRng, Hasher
 from .runtime import (
     Reason,
     Rejected,
@@ -39,7 +39,6 @@ __all__ = [
     "DigestRng",
     "Event",
     "EXPECTED_VERDICTS",
-    "HashConfig",
     "Hasher",
     "Reason",
     "Rejected",

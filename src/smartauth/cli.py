@@ -12,7 +12,6 @@ import os
 import sys
 from pathlib import Path
 
-from .hashing import HashConfig
 from .scenarios import (
     DIVERGING_SCENARIOS,
     EXPECTED_VERDICTS,
@@ -25,7 +24,8 @@ from .scenarios import (
     run_scenario,
 )
 
-HASH_CHOICES = {"standard": "sha256", "toy8": "toy8", "toy16": "toy16"}
+# The one table that names a digest width, in bytes.
+HASH_CHOICES = {"standard": 32, "toy8": 1, "toy16": 2}
 
 
 def _positive(text: str) -> int:
@@ -79,11 +79,11 @@ def _run_summary(args, matched: list[bool]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_run(args, seed: int, config: HashConfig) -> int:
+def cmd_run(args, seed: int, digest_size: int) -> int:
     chunks = []
     matched = []
     for trial in range(args.trials):
-        transcript, result = run_scenario(args.scheme, args.scenario, seed + trial, config)
+        transcript, result = run_scenario(args.scheme, args.scenario, seed + trial, digest_size)
         matched.append(matches_expected(result))
         if args.format == "structured-lines":
             chunks.append(transcript.render())
@@ -99,15 +99,15 @@ def cmd_run(args, seed: int, config: HashConfig) -> int:
     return 0 if all(matched) else 1
 
 
-def cmd_diff(args, seed: int, config: HashConfig) -> int:
+def cmd_diff(args, seed: int, digest_size: int) -> int:
     seeds = args.seeds if args.seeds else list(range(seed, seed + 10))
     all_ok = True
     for scenario in SCENARIOS:
         diverged = 0
         sample = None
         for trial_seed in seeds:
-            _, result_b = run_scenario("baseline", scenario, trial_seed, config)
-            _, result_i = run_scenario("improved", scenario, trial_seed, config)
+            _, result_b = run_scenario("baseline", scenario, trial_seed, digest_size)
+            _, result_i = run_scenario("improved", scenario, trial_seed, digest_size)
             if result_b.verdict != result_i.verdict:
                 diverged += 1
             sample = (result_b, result_i)
@@ -128,8 +128,8 @@ def cmd_diff(args, seed: int, config: HashConfig) -> int:
     return 0 if all_ok else 1
 
 
-def cmd_cost(args, seed: int, config: HashConfig) -> int:
-    report = measure_costs(config, seed)
+def cmd_cost(args, seed: int, digest_size: int) -> int:
+    report = measure_costs(digest_size, seed)
     print("hash invocations per honest run (registration and biometric gate excluded)")
     print()
     print(f"{'phase':<28} {'baseline':>8} {'improved':>8}")
@@ -147,7 +147,7 @@ def cmd_cost(args, seed: int, config: HashConfig) -> int:
     )
     print(
         f"storage delta: {report.storage_delta_digests} digest "
-        f"({report.storage_delta_digests * report.digest_size} bytes)"
+        f"({report.storage_delta_digests * digest_size} bytes)"
     )
     ok = report.hash_delta == 2 and report.storage_delta_digests == 1
     if not ok:
@@ -189,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # Resolved even when ``diff --seeds`` makes the seed unused, so a bad
     # SMARTAUTH_SEED is always an error.
-    return args.func(args, _resolve_seed(args.seed), HashConfig(HASH_CHOICES[args.hash]))
+    return args.func(args, _resolve_seed(args.seed), HASH_CHOICES[args.hash])
 
 
 if __name__ == "__main__":

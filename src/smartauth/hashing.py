@@ -13,17 +13,11 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass
 from hashlib import sha256 as _sha256
 
 SALT_SIZE = 16
 MAX_PART_SIZE = 2**32 - 1
-
-DIGEST_SIZES = {
-    "sha256": 32,
-    "toy8": 1,
-    "toy16": 2,
-}
+SHA256_SIZE = 32  # the full width; anything from 1 to this truncates sha256
 
 
 class DigestLengthError(ValueError):
@@ -56,10 +50,6 @@ class Digest(bytes):
     def __repr__(self) -> str:
         return f"Digest({self.hex()})"
 
-    @classmethod
-    def zero(cls, size: int) -> "Digest":
-        return cls(bytes(size))
-
 
 # Length prefixes of the short parts every protocol hash is made of.
 _SHORT_PREFIXES = tuple(size.to_bytes(4, "big") for size in range(256))
@@ -85,32 +75,12 @@ def encode_parts(parts: "Iterable[bytes]") -> bytes:
     return b"".join(chunks)
 
 
-@dataclass(frozen=True)
-class HashConfig:
-    """Hash selection.
-
-    ``algorithm`` is one of ``sha256`` (the default, 32-byte digests) or
-    the truncated toy variants ``toy8``/``toy16`` used only by exhaustive
-    oracle tests.
-    """
-
-    algorithm: str = "sha256"
-
-    def __post_init__(self) -> None:
-        if self.algorithm not in DIGEST_SIZES:
-            raise ValueError(f"unknown hash algorithm {self.algorithm!r}")
-
-    @property
-    def digest_size(self) -> int:
-        return DIGEST_SIZES[self.algorithm]
-
-
 class Hasher:
     """Hash front end with a per-instance invocation counter.
 
     ``hash`` accepts any mix of ``bytes`` and ``Digest`` parts, frames
     them with ``encode_parts`` (the only place that knows the framing),
-    and truncates sha256 to the configured width.  The counter
+    and truncates sha256 to ``digest_size`` bytes.  The counter
     increments by exactly one per ``hash`` call; ``hash_uncounted``
     computes the same digest without touching the counter (used for the
     biometric gate, which the cost accounting excludes).  Each spells out
@@ -118,10 +88,11 @@ class Hasher:
     protocol hash to a single Python call on the login hot path.
     """
 
-    def __init__(self, config: HashConfig | None = None) -> None:
-        self.config = config or HashConfig()
+    def __init__(self, digest_size: int = SHA256_SIZE) -> None:
+        if not 1 <= digest_size <= SHA256_SIZE:
+            raise ValueError(f"digest size must be 1 to {SHA256_SIZE} bytes, not {digest_size}")
         self.count = 0
-        self.digest_size = self.config.digest_size
+        self.digest_size = digest_size
 
     def hash(self, *parts: bytes) -> Digest:
         self.count += 1

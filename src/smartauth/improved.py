@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hashing import Digest
-from .protocol import ClientSession, Scheme, ServerSession  # noqa: F401  (sessions re-exported)
+from .protocol import Scheme
 
 
 @dataclass(frozen=True)

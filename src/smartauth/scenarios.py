@@ -3,7 +3,7 @@
 ``run_scenario`` derives every input (credentials, secrets, nonces) from
 one integer seed, drives the chosen scheme through the adversarial
 channel, and returns a transcript plus a summary result.  The same
-(scheme, scenario, seed, hash config) always yields a byte-identical
+(scheme, scenario, seed, digest width) always yields a byte-identical
 transcript.  A scenario's script returns the keys it derived: the client
 key (``None`` when no client derived one) and the server session.  The
 first rejection a script does not catch ends the run and is its reason;
@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 from . import baseline, improved
 from .channel import AdversarialChannel, Tamper, Transcript
-from .hashing import Digest, DigestRng, HashConfig, Hasher
+from .hashing import SHA256_SIZE, Digest, DigestRng, Hasher
 from .runtime import LOCAL_REASONS, Reason, Rejected, RegistrationCenter, ServerState
 
 # The one place a scheme name is bound to its module.
@@ -79,11 +79,11 @@ def matches_expected(result: ScenarioResult) -> bool:
 class _Env:
     """Everything one scenario run needs, derived from a single seed."""
 
-    def __init__(self, scheme: str, scenario: str, seed: int, config: HashConfig) -> None:
+    def __init__(self, scheme: str, scenario: str, seed: int, digest_size: int) -> None:
         self.scheme = scheme
         self.scenario = scenario
         self.seed = seed
-        self.config = config
+        self.digest_size = digest_size
         self.mod = _SCHEME_MODULES[scheme]
         self.master = random.Random(seed)
         self.user_id = bytes(self.master.choices(ID_ALPHABET, k=self.master.randint(4, 16)))
@@ -91,19 +91,18 @@ class _Env:
         self.wrong_password = self._distinct_secret(self.password)
         self.new_password = self._distinct_secret(self.password)
         self.biometric = self.master.randbytes(32)
-        size = config.digest_size
-        master_secret = Digest(self.master.randbytes(size))
-        shared_secret = Digest(self.master.randbytes(size))
+        master_secret = Digest(self.master.randbytes(digest_size))
+        shared_secret = Digest(self.master.randbytes(digest_size))
         rc = RegistrationCenter(master_secret, shared_secret)
         self.server = ServerState(
             master_secret,
             shared_secret,
             server_id=b"srv-" + bytes(self.master.choices(ID_ALPHABET, k=8)),
         )
-        self.rng = DigestRng(self.master.getrandbits(64), size)
-        self.setup_hasher = Hasher(config)
-        self.client_hasher = Hasher(config)
-        self.server_hasher = Hasher(config)
+        self.rng = DigestRng(self.master.getrandbits(64), digest_size)
+        self.setup_hasher = Hasher(digest_size)
+        self.client_hasher = Hasher(digest_size)
+        self.server_hasher = Hasher(digest_size)
         self.transcript = Transcript()
         self.login_hashes: int | None = None  # client hash count when the last ``login`` returned
         self.channel = AdversarialChannel(self.transcript)
@@ -180,7 +179,6 @@ def _replay_to_server(env: _Env, index: int) -> tuple[None, object]:
 
 def _change_password(env: _Env, old_password: bytes, new_password: bytes) -> None:
     """Attempt a password change on the card; a refusal is recorded, then re-raised."""
-    before = env.card
     try:
         env.card = env.mod.change_password(
             env.client_hasher,
@@ -191,10 +189,11 @@ def _change_password(env: _Env, old_password: bytes, new_password: bytes) -> Non
             probe=env.probe("card"),
         )
     except Rejected:
-        unchanged = env.card == before
-        env.transcript.add(
-            "card", "verify", verdict="card-unchanged:ok" if unchanged else "card-unchanged:fail"
-        )
+        # Holds by construction: a refused change returns no card, so
+        # ``env.card`` is still the issued one, and cards are frozen.
+        # test_improved.py::test_change_password_wrong_old_leaves_card_byte_identical
+        # pins the property itself against a card re-registered from the seed.
+        env.transcript.add("card", "verify", verdict="card-unchanged:ok")
         raise
 
 
@@ -261,7 +260,7 @@ def _scn_replay(env: _Env) -> tuple[Digest | None, object]:
 
 
 def _tamper_targets(env: _Env) -> list[tuple[str, int]]:
-    size_bits = env.config.digest_size * 8
+    size_bits = env.digest_size * 8
     targets = [("user_id", len(env.user_id) * 8)]
     for f in dataclass_fields(env.mod.LoginMessage):
         if f.name != "user_id":
@@ -377,14 +376,14 @@ def run_scenario(
     scheme: str,
     scenario: str,
     seed: int = 0,
-    config: HashConfig | None = None,
+    digest_size: int = SHA256_SIZE,
 ) -> tuple[Transcript, ScenarioResult]:
     """Run one scripted scenario deterministically from the seed."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
-    env = _Env(scheme, scenario, seed, config or HashConfig())
+    env = _Env(scheme, scenario, seed, digest_size)
     return _run(env, _TABLE[scenario][0])
 
 
@@ -400,7 +399,6 @@ class CostReport:
 
     phases: dict[str, dict[str, int]]
     card_digests: dict[str, int]
-    digest_size: int
 
     def total(self, scheme: str) -> int:
         return sum(self.phases[scheme].values())
@@ -414,13 +412,12 @@ class CostReport:
         return self.card_digests["improved"] - self.card_digests["baseline"]
 
 
-def measure_costs(config: HashConfig | None = None, seed: int = 0) -> CostReport:
+def measure_costs(digest_size: int = SHA256_SIZE, seed: int = 0) -> CostReport:
     """Instrument one honest run per scheme and tally per-phase hash calls."""
-    config = config or HashConfig()
     phases: dict[str, dict[str, int]] = {}
     card_digests: dict[str, int] = {}
     for scheme in SCHEMES:
-        env = _Env(scheme, "hash-count", seed, config)
+        env = _Env(scheme, "hash-count", seed, digest_size)
         _login_exchange(env, env.password)
         phases[scheme] = {
             "login (client)": env.login_hashes,
@@ -432,4 +429,4 @@ def measure_costs(config: HashConfig | None = None, seed: int = 0) -> CostReport
             for f in dataclass_fields(env.card)
             if isinstance(getattr(env.card, f.name), Digest)
         )
-    return CostReport(phases, card_digests, config.digest_size)
+    return CostReport(phases, card_digests)

@@ -7,7 +7,7 @@ import random
 import struct
 from dataclasses import dataclass
 
-from smartauth import Digest, DigestRng, HashConfig, Hasher, RegistrationCenter, ServerState
+from smartauth import Digest, DigestRng, Hasher, RegistrationCenter, ServerState
 
 
 class FixedRng:
@@ -43,7 +43,6 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
 class Setup:
     """One registered user against one server, driven directly (no channel)."""
 
-    config: HashConfig
     hasher: Hasher
     rng: DigestRng
     rc: RegistrationCenter
@@ -58,22 +57,20 @@ class Setup:
         return self.server.server_id
 
 
-def make_setup(mod, seed: int = 0, config: HashConfig | None = None) -> Setup:
+def make_setup(mod, seed: int = 0, digest_size: int = 32) -> Setup:
     """Register one user under the given scheme module with seeded values."""
-    config = config or HashConfig()
-    size = config.digest_size
     rnd = random.Random(seed)
-    master_secret = Digest(rnd.randbytes(size))
-    shared_secret = Digest(rnd.randbytes(size))
+    master_secret = Digest(rnd.randbytes(digest_size))
+    shared_secret = Digest(rnd.randbytes(digest_size))
     rc = RegistrationCenter(master_secret, shared_secret)
     server = ServerState(master_secret, shared_secret, server_id=b"srv-main")
-    hasher = Hasher(config)
-    rng = DigestRng(rnd.getrandbits(64), size)
+    hasher = Hasher(digest_size)
+    rng = DigestRng(rnd.getrandbits(64), digest_size)
     user_id = b"user-%d" % seed
     password = b"pw-%d-correct" % seed
     biometric = b"thumbprint-%d" % seed
     card = mod.register(hasher, rc, user_id, password, biometric, rng)
-    return Setup(config, hasher, rng, rc, server, user_id, password, biometric, card)
+    return Setup(hasher, rng, rc, server, user_id, password, biometric, card)
 
 
 def exchange(mod, s: Setup, password: bytes | None = None):

@@ -13,7 +13,6 @@ import pytest
 
 from smartauth import (
     Digest,
-    HashConfig,
     Hasher,
     Reason,
     Rejected,
@@ -236,9 +235,8 @@ def test_criterion_7_extraction_identity_holds_before_and_after_change():
 
 
 def test_criterion_8_toy_width_exhaustive_oracle():
-    config = HashConfig("toy8")
-    hasher = Hasher(config)
-    s = make_setup(improved, seed=88, config=config)
+    hasher = Hasher(1)
+    s = make_setup(improved, seed=88, digest_size=1)
     salt = bytes(16)
     card = improved.register(hasher, s.rc, s.user_id, s.password, s.biometric, FixedRng(salts=[salt]))
     r_s = Digest(b"\x5a")

@@ -135,10 +135,11 @@ def test_cost_reports_deltas(capsys):
     assert "storage delta: 1 digest (32 bytes)" in out
 
 
-def test_cost_toy_width_reports_small_digests(capsys):
-    code, out = run_cli(capsys, "cost", "--hash", "toy8")
+@pytest.mark.parametrize("name, width", [("standard", 32), ("toy8", 1), ("toy16", 2)])
+def test_cost_toy_width_reports_small_digests(capsys, name, width):
+    code, out = run_cli(capsys, "cost", "--hash", name)
     assert code == 0
-    assert "storage delta: 1 digest (1 bytes)" in out
+    assert f"storage delta: 1 digest ({width} bytes)" in out
 
 
 def test_module_entry_point_runs():

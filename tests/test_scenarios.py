@@ -8,7 +8,6 @@ import pytest
 from smartauth import SCENARIOS, SCHEMES, matches_expected, measure_costs, run_scenario
 from smartauth.cli import _text_report, main
 from smartauth.scenarios import _Env, _login_exchange, _replay_to_server, _run
-from smartauth.hashing import HashConfig
 
 
 ALL_COMBOS = [(scheme, scenario) for scheme in SCHEMES for scenario in SCENARIOS]
@@ -53,11 +52,10 @@ GOLDEN_SWEEP_SHA256 = "29cbc622af00befc3f2107fd77e182e18dc8cfaab98accf845ba96240
 
 def test_golden_transcripts_for_every_scheme_scenario_seed_and_width():
     digest = hashlib.sha256()
-    for algorithm in ("sha256", "toy8", "toy16"):
-        config = HashConfig(algorithm)
+    for width in (32, 1, 2):
         for scheme, scenario in ALL_COMBOS:
             for seed in range(10):
-                transcript, r = run_scenario(scheme, scenario, seed, config)
+                transcript, r = run_scenario(scheme, scenario, seed, width)
                 reason = r.reason.value if r.reason else "-"
                 counts = r.hash_counts
                 digest.update(transcript.render().encode())
@@ -148,7 +146,7 @@ def test_stale_replay_through_the_runner_lists_only_the_server_key(scheme):
         _login_exchange(env, env.password)
         return _replay_to_server(env, 0)
 
-    transcript, result = _run(_Env(scheme, "replay", 0, HashConfig()), script)
+    transcript, result = _run(_Env(scheme, "replay", 0, 32), script)
     assert result.verdict == "accept"
     assert result.client_key is None and result.server_key is not None
     final = transcript.final
@@ -193,7 +191,7 @@ def test_long_term_secrets_never_reach_the_transcript(capsys):
     seed = 13
     for scheme, scenario in ALL_COMBOS:
         # The same seed derives the same secrets as the run itself.
-        env = _Env(scheme, scenario, seed, HashConfig())
+        env = _Env(scheme, scenario, seed, 32)
         secrets = (env.server.master_secret.hex(), env.server.shared_secret.hex())
         transcript, _ = run_scenario(scheme, scenario, seed)
         sinks = [transcript.render()]
@@ -213,8 +211,9 @@ def test_unknown_ids_raise():
         run_scenario("no-such-scheme", "honest", 0)
 
 
-def test_measure_costs_phases_and_storage():
-    report = measure_costs()
+@pytest.mark.parametrize("width", [32, 1, 2])
+def test_measure_costs_phases_and_storage(width):
+    report = measure_costs(width)
     assert report.phases["baseline"] == {
         "login (client)": 4,
         "authentication (server)": 6,
