@@ -1,11 +1,12 @@
 """The challenge-response protocol, written once for both schemes.
 
 A ``Scheme`` names the card and wire types of one scheme and whether it
-is hardened.  The hardened scheme is the original plus three steps that
-always come together: the card stores the password verifier and checks
-it locally, the login message carries the nonce tag for the server to
-check first, and the response carries a server-nonce tag the client
-checks first.  Every other step, hash call and nonce draw is shared.
+is hardened.  The hardened scheme adds three steps, each written at its
+two ends: the card stores the password verifier when sealing the key and
+checks it when unsealing, the login carries the nonce tag the server
+checks first, and the response carries a server-nonce tag the client
+checks first.  Every other step, hash call and nonce draw is shared, and
+an honest exchange ends with the two sides' ``Session`` records equal.
 
 Each check site reports its decision to an optional ``probe(check,
 failure)`` before acting on it: ``failure`` is ``None`` when the named
@@ -33,27 +34,15 @@ Probe = Callable[[str, "Reason | None"], None]
 
 
 @dataclass
-class ClientSession:
-    """Card-side working values kept between the two protocol messages."""
-
-    pw_digest: Digest
-    identity_key: Digest
-    nonce_tag: Digest
-    client_nonce: Digest
-    server_nonce: Digest | None = None      # recovered while verifying the response
-    server_nonce_tag: Digest | None = None  # hardened only: tag over the recovered nonce
-
-
-@dataclass
-class ServerSession:
-    """Server-side working values; recovered fields match the client's only in honest runs."""
+class Session:
+    """One side's working values; the client fills the last two once the response checks out."""
 
     identity_key: Digest
     client_nonce: Digest
     nonce_tag: Digest
     pw_digest: Digest
-    server_nonce: Digest
-    session_key: Digest
+    server_nonce: Digest | None = None
+    session_key: Digest | None = None
 
 
 def _decide(probe: Probe | None, check: str, passed: bool, reason: Reason) -> None:
@@ -70,10 +59,12 @@ def _check_biometric(hasher: Hasher, card, bio_sample: bytes, probe: Probe | Non
     _decide(probe, "biometric", passed, Reason.BIOMETRIC_MISMATCH)
 
 
-def _verifier(hasher: Hasher, card, password: bytes) -> tuple[Digest, Digest]:
-    """The salted password digest and the verifier it yields with this card."""
-    pw_digest = hasher.hash(card.salt, password)
-    return pw_digest, hasher.hash(pw_digest, card.bio_template)
+def _verifier(
+    hasher: Hasher, salt: bytes, bio_template: Digest, password: bytes
+) -> tuple[Digest, Digest]:
+    """The salted password digest and the verifier it yields with this biometric template."""
+    pw_digest = hasher.hash(salt, password)
+    return pw_digest, hasher.hash(pw_digest, bio_template)
 
 
 @dataclass(frozen=True)
@@ -85,10 +76,20 @@ class Scheme:
     auth_response: type
     hardened: bool
 
-    def _check_password(self, card, verifier: Digest, probe: Probe | None) -> None:
-        # Only a hardened card stores a verifier to compare against.
+    def _seal(self, identity_key: Digest, verifier: Digest) -> dict[str, Digest]:
+        """The card fields that seal the identity key under a password verifier."""
+        # Only a hardened card keeps the verifier, to check passwords against.
+        stored = {"verifier": verifier} if self.hardened else {}
+        return {"sealed_key": identity_key ^ verifier, **stored}
+
+    def _unseal(
+        self, hasher: Hasher, card, password: bytes, probe: Probe | None
+    ) -> tuple[Digest, Digest]:
+        """The password digest and the identity key the card unseals under this password."""
+        pw_digest, verifier = _verifier(hasher, card.salt, card.bio_template, password)
         if self.hardened:
             _decide(probe, "password", verifier == card.verifier, Reason.WRONG_PASSWORD)
+        return pw_digest, card.sealed_key ^ verifier
 
     def register(
         self,
@@ -102,17 +103,14 @@ class Scheme:
         """Enrol a user and issue a card (modelled as a direct secure call)."""
         check_credentials(user_id, password, biometric)
         salt = rng.salt()
-        pw_digest = hasher.hash(salt, password)
         bio_template = hasher.hash(biometric)
-        verifier = hasher.hash(pw_digest, bio_template)
+        _, verifier = _verifier(hasher, salt, bio_template, password)
         identity_key = hasher.hash(user_id, rc.master_secret)
-        stored = {"verifier": verifier} if self.hardened else {}
         return self.card(
             bio_template=bio_template,
-            sealed_key=identity_key ^ verifier,
             shared_secret=rc.shared_secret,
             salt=salt,
-            **stored,
+            **self._seal(identity_key, verifier),
         )
 
     def login(
@@ -124,7 +122,7 @@ class Scheme:
         bio_sample: bytes,
         rng: DigestRng,
         probe: Probe | None = None,
-    ) -> tuple[object, ClientSession]:
+    ) -> tuple[object, Session]:
         """Build a login request after the card's local checks.
 
         Without the hardening a wrong password yields a wrong verifier and
@@ -132,9 +130,7 @@ class Scheme:
         compare against and sends the message regardless.
         """
         _check_biometric(hasher, card, bio_sample, probe)
-        pw_digest, verifier = _verifier(hasher, card, password)
-        self._check_password(card, verifier, probe)
-        identity_key = card.sealed_key ^ verifier
+        pw_digest, identity_key = self._unseal(hasher, card, password, probe)
         client_nonce = rng.digest()
         masked_nonce = identity_key ^ client_nonce
         nonce_tag = hasher.hash(card.shared_secret, client_nonce)
@@ -148,7 +144,7 @@ class Scheme:
             checksum=checksum,
             **in_clear,
         )
-        return message, ClientSession(pw_digest, identity_key, nonce_tag, client_nonce)
+        return message, Session(identity_key, client_nonce, nonce_tag, pw_digest)
 
     def authenticate(
         self,
@@ -157,7 +153,7 @@ class Scheme:
         message,
         rng: DigestRng,
         probe: Probe | None = None,
-    ) -> tuple[object, ServerSession]:
+    ) -> tuple[object, Session]:
         """Check a login request and answer it; raises Rejected on any failure."""
         _decide(probe, "id-format", check_id_format(message.user_id), Reason.BAD_ID_FORMAT)
         identity_key = hasher.hash(message.user_id, server.master_secret)
@@ -186,15 +182,14 @@ class Scheme:
         response = self.auth_response(
             masked_server_nonce=masked_server_nonce, server_checksum=server_checksum, **tagged
         )
-        session = ServerSession(
+        return response, Session(
             identity_key, client_nonce, nonce_tag, pw_digest, server_nonce, session_key
         )
-        return response, session
 
     def verify_server(
         self,
         hasher: Hasher,
-        session: ClientSession,
+        session: Session,
         card,
         response,
         server_id: bytes,
@@ -203,19 +198,20 @@ class Scheme:
         """Verify the server's answer and derive the session key."""
         blind = hasher.hash(session.pw_digest, server_id, card.shared_secret)
         server_nonce = blind ^ session.nonce_tag ^ response.masked_server_nonce
+        reason = Reason.SERVER_AUTH_FAILED
         if self.hardened:
-            server_nonce_tag = hasher.hash(card.shared_secret, server_nonce)
-            passed = server_nonce_tag == response.server_nonce_tag
+            passed = hasher.hash(card.shared_secret, server_nonce) == response.server_nonce_tag
             _decide(probe, "server-nonce-tag", passed, Reason.SERVER_NONCE_TAG_MISMATCH)
+            reason = Reason.SERVER_CHECKSUM_MISMATCH
         expected = hasher.hash(
             session.identity_key, session.pw_digest, card.shared_secret, server_nonce
         )
-        reason = Reason.SERVER_CHECKSUM_MISMATCH if self.hardened else Reason.SERVER_AUTH_FAILED
         _decide(probe, "server-checksum", response.server_checksum == expected, reason)
         session.server_nonce = server_nonce
-        if self.hardened:
-            session.server_nonce_tag = server_nonce_tag
-        return hasher.hash(session.pw_digest, session.nonce_tag, server_nonce, server_id)
+        session.session_key = hasher.hash(
+            session.pw_digest, session.nonce_tag, server_nonce, server_id
+        )
+        return session.session_key
 
     def change_password(
         self,
@@ -235,9 +231,6 @@ class Scheme:
         """
         _check_biometric(hasher, card, bio_sample, probe)
         check_password(new_password)
-        _, old_verifier = _verifier(hasher, card, old_password)
-        self._check_password(card, old_verifier, probe)
-        identity_key = card.sealed_key ^ old_verifier
-        _, new_verifier = _verifier(hasher, card, new_password)
-        stored = {"verifier": new_verifier} if self.hardened else {}
-        return replace(card, sealed_key=identity_key ^ new_verifier, **stored)
+        _, identity_key = self._unseal(hasher, card, old_password, probe)
+        _, new_verifier = _verifier(hasher, card.salt, card.bio_template, new_password)
+        return replace(card, **self._seal(identity_key, new_verifier))

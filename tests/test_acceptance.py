@@ -9,8 +9,6 @@ import random
 import time
 from dataclasses import fields as dataclass_fields
 
-import pytest
-
 from smartauth import (
     Digest,
     Hasher,
@@ -26,7 +24,7 @@ from smartauth import (
 from smartauth.channel import tamper_message
 from smartauth.scenarios import SCENARIOS, SCHEMES
 
-from support import FixedRng, exchange, make_setup, raw_hash, xor_bytes
+from support import FixedRng, exchange, make_setup, raw_hash
 from test_improved import reference_run
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from smartauth import Digest, DigestRng, Hasher, Reason, Rejected, baseline
+from smartauth import Digest, DigestRng, Reason, Rejected, baseline
 from smartauth.channel import tamper_message
 
 from support import FixedRng, exchange, make_setup, raw_hash, xor_bytes

@@ -1,0 +1,37 @@
+"""Source hygiene over the package and the tests, checked with the stdlib ``ast``."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Module-level imports never used as a name, in a string annotation or in ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, used = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            used.update(ast.literal_eval(node.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if annotation is None:
+                continue
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    quoted = ast.walk(ast.parse(part.value, mode="eval"))
+                    used.update(name.id for name in quoted if isinstance(name, ast.Name))
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    package, tests = ROOT / "src" / "smartauth", ROOT / "tests"
+    paths = sorted(package.glob("*.py")) + sorted(tests.glob("*.py"))
+    unused = {str(path.relative_to(ROOT)): _unused_imports(path) for path in paths}
+    assert {path: names for path, names in unused.items() if names} == {}

@@ -93,7 +93,7 @@ def run_against_reference(width, seed):
         s.hasher, client_session, card, response, s.server_id
     )
     assert bytes(client_session.server_nonce) == ref["cli_server_nonce"] == bytes(r_s)
-    assert bytes(client_session.server_nonce_tag) == ref["cli_server_nonce_tag"]
+    assert bytes(response.server_nonce_tag) == ref["cli_server_nonce_tag"]
     assert bytes(client_key) == ref["cli_session_key"] == ref["srv_session_key"]
 
 
@@ -105,6 +105,15 @@ def test_full_protocol_matches_independent_reference():
 def test_full_protocol_matches_reference_at_toy_widths():
     for width in (1, 2):
         run_against_reference(width, seed=5)
+
+
+@pytest.mark.parametrize("width", [32, 1, 2])
+@pytest.mark.parametrize("mod", [baseline, improved], ids=["baseline", "improved"])
+def test_honest_exchange_ends_with_equal_sessions(mod, width):
+    for seed in range(10):
+        key, server_session, client_session = exchange(mod, make_setup(mod, seed, width))
+        assert client_session == server_session
+        assert key == client_session.session_key
 
 
 def test_registration_matches_baseline_except_verifier():

@@ -9,6 +9,8 @@ from smartauth import SCENARIOS, SCHEMES, matches_expected, measure_costs, run_s
 from smartauth.cli import _text_report, main
 from smartauth.scenarios import _Env, _login_exchange, _replay_to_server, _run
 
+from support import raw_hash
+
 
 ALL_COMBOS = [(scheme, scenario) for scheme in SCHEMES for scenario in SCENARIOS]
 
@@ -156,6 +158,24 @@ def test_stale_replay_through_the_runner_lists_only_the_server_key(scheme):
     assert [line for line in report if "session key" in line] == [
         f"server session key: {result.server_key.hex()}"
     ]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_toy_width_verifier_collision_accepts_a_wrong_password(scheme):
+    # With 1-byte digests the wrong password of seed 60 yields the real
+    # password's verifier, hence the real identity key, and the server never
+    # checks the password digest it unmasks: both schemes accept the login.
+    env = _Env(scheme, "wrong-password", 60, 1)
+    salt, template = env.card.salt, bytes(env.card.bio_template)
+
+    def verifier(password):
+        return raw_hash(1, raw_hash(1, salt, password), template)
+
+    assert env.wrong_password != env.password
+    assert verifier(env.wrong_password) == verifier(env.password) == bytes.fromhex("a1")
+    _, result = run_scenario(scheme, "wrong-password", 60, 1)
+    assert result.verdict == "accept"
+    assert result.client_key is not None and result.client_key == result.server_key
 
 
 def test_runs_leave_no_reference_cycles():
