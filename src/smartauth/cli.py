@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the observed outcome matches the scenario's expected
 outcome (for attack scenarios the expected outcome is the documented
-rejection), 1 on a mismatch, 2 on usage errors.
+rejection), 1 on a mismatch, 2 on usage errors, such as a trial seed
+past 2**64-1 (which ``--seed`` could not rerun) or an unwritable ``--out``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .scenarios import (
     DIVERGING_SCENARIOS,
@@ -26,6 +28,12 @@ from .scenarios import (
 
 # The one table that names a digest width, in bytes.
 HASH_CHOICES = {"standard": 32, "toy8": 1, "toy16": 2}
+_SEED_LIMIT = 2**64
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _positive(text: str) -> int:
@@ -37,7 +45,7 @@ def _positive(text: str) -> int:
 
 def _seed_type(text: str) -> int:
     value = int(text)
-    if not 0 <= value < 2**64:
+    if not 0 <= value < _SEED_LIMIT:
         raise argparse.ArgumentTypeError("seed must be a 64-bit unsigned integer")
     return value
 
@@ -51,8 +59,17 @@ def _resolve_seed(value: int | None) -> int:
     try:
         return _seed_type(raw)
     except (ValueError, argparse.ArgumentTypeError):
-        print("error: SMARTAUTH_SEED must be a 64-bit unsigned integer", file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error("SMARTAUTH_SEED must be a 64-bit unsigned integer")
+
+
+def _seed_range(seed: int, count: int) -> range:
+    """The ``count`` seeds from ``seed`` on, each one that ``--seed`` accepts."""
+    if seed + count > _SEED_LIMIT:
+        _usage_error(
+            f"seeds {seed}..{seed + count - 1} pass 2**64-1; "
+            f"the largest base seed for {count} seeds is {_SEED_LIMIT - count}"
+        )
+    return range(seed, seed + count)
 
 
 def _text_report(trial: int, result: ScenarioResult, transcript) -> str:
@@ -82,8 +99,8 @@ def _run_summary(args, matched: list[bool]) -> str:
 def cmd_run(args, seed: int, digest_size: int) -> int:
     chunks = []
     matched = []
-    for trial in range(args.trials):
-        transcript, result = run_scenario(args.scheme, args.scenario, seed + trial, digest_size)
+    for trial, trial_seed in enumerate(_seed_range(seed, args.trials)):
+        transcript, result = run_scenario(args.scheme, args.scenario, trial_seed, digest_size)
         matched.append(matches_expected(result))
         if args.format == "structured-lines":
             chunks.append(transcript.render())
@@ -93,14 +110,17 @@ def cmd_run(args, seed: int, digest_size: int) -> int:
         chunks.append(_run_summary(args, matched))
     output = "".join(chunks)
     if args.out is not None:
-        Path(args.out).write_text(output, encoding="utf-8")
+        try:
+            Path(args.out).write_text(output, encoding="utf-8")
+        except OSError as exc:
+            _usage_error(f"cannot write --out: {exc}")
     else:
         sys.stdout.write(output)
     return 0 if all(matched) else 1
 
 
 def cmd_diff(args, seed: int, digest_size: int) -> int:
-    seeds = args.seeds if args.seeds else list(range(seed, seed + 10))
+    seeds = args.seeds if args.seeds else _seed_range(seed, 10)
     all_ok = True
     for scenario in SCENARIOS:
         diverged = 0

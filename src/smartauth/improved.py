@@ -6,46 +6,18 @@ the wire; the login message carries the nonce tag so the server can check
 it directly before the checksum; and the response carries a dedicated
 server-nonce tag the client checks first.  Password change verifies the
 old password and updates sealed key and verifier together, so a failed
-attempt leaves the card byte-identical.  The protocol steps live in
-``protocol``; this module names the types.
+attempt leaves the card byte-identical.  The protocol steps and the types,
+declared hardened, live in ``protocol``.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .hashing import Digest
 from .protocol import Scheme
 
+SCHEME = Scheme(hardened=True)
 
-@dataclass(frozen=True)
-class Card:
-    """Contents of an issued smart card; stores the verifier the baseline omits."""
-
-    bio_template: Digest
-    verifier: Digest       # salted-password digest bound to the biometric template
-    sealed_key: Digest     # identity key XOR verifier
-    shared_secret: Digest
-    salt: bytes
-
-
-@dataclass(frozen=True)
-class LoginMessage:
-    user_id: bytes
-    masked_nonce: Digest
-    nonce_tag: Digest         # sent in clear; the server checks it before anything else
-    masked_pw_digest: Digest
-    checksum: Digest
-
-
-@dataclass(frozen=True)
-class AuthResponse:
-    masked_server_nonce: Digest
-    server_nonce_tag: Digest  # tag over the server nonce under the shared secret
-    server_checksum: Digest
-
-
-SCHEME = Scheme(Card, LoginMessage, AuthResponse, hardened=True)
+Card = SCHEME.card
+LoginMessage = SCHEME.login_message
+AuthResponse = SCHEME.auth_response
 
 register = SCHEME.register
 login = SCHEME.login

@@ -1,12 +1,12 @@
 """The challenge-response protocol, written once for both schemes.
 
-A ``Scheme`` names the card and wire types of one scheme and whether it
-is hardened.  The hardened scheme adds three steps, each written at its
-two ends: the card stores the password verifier when sealing the key and
-checks it when unsealing, the login carries the nonce tag the server
-checks first, and the response carries a server-nonce tag the client
-checks first.  Every other step, hash call and nonce draw is shared, and
-an honest exchange ends with the two sides' ``Session`` records equal.
+A ``Scheme`` says only whether it is hardened.  The hardened scheme adds
+three steps, each written at its two ends: the card stores the password
+verifier when sealing the key and checks it when unsealing, the login
+carries the nonce tag the server checks first, and the response carries
+a server-nonce tag the client checks first.  Every other step, hash call
+and nonce draw is shared, and an honest exchange ends with the two
+sides' ``Session`` records equal.
 
 Each check site reports its decision to an optional ``probe(check,
 failure)`` before acting on it: ``failure`` is ``None`` when the named
@@ -16,7 +16,7 @@ check passed, or the ``Reason`` about to be raised.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, make_dataclass, replace
 
 from .hashing import Digest, DigestRng, Hasher
 from .runtime import (
@@ -31,6 +31,47 @@ from .runtime import (
 )
 
 Probe = Callable[[str, "Reason | None"], None]
+
+
+@dataclass(frozen=True)
+class Card:
+    """Contents of an issued smart card."""
+
+    bio_template: Digest   # hash of the enrolled biometric sample
+    verifier: Digest       # salted-password digest bound to the biometric template
+    sealed_key: Digest     # identity key XOR password verifier
+    shared_secret: Digest  # server secret mirrored onto the card
+    salt: bytes            # 16-byte salt mixed into the password digest
+
+
+@dataclass(frozen=True)
+class LoginMessage:
+    user_id: bytes
+    masked_nonce: Digest      # client nonce XOR recovered identity key
+    nonce_tag: Digest         # sent in clear; the server checks it before anything else
+    masked_pw_digest: Digest  # salted password digest XOR nonce tag
+    checksum: Digest          # binds the two masked fields and the tag
+
+
+@dataclass(frozen=True)
+class AuthResponse:
+    masked_server_nonce: Digest
+    server_nonce_tag: Digest  # tag over the server nonce under the shared secret
+    server_checksum: Digest
+
+
+# The field each hardening step adds to the card, the login and the response.
+# The baseline's types are the hardened ones without them, in the same order.
+STEP_FIELDS = ("verifier", "nonce_tag", "server_nonce_tag")
+
+
+def _without_steps(cls: type) -> type:
+    kept = [(f.name, f.type) for f in fields(cls) if f.name not in STEP_FIELDS]
+    return make_dataclass(cls.__name__, kept, frozen=True, namespace={"__module__": __name__})
+
+
+_HARDENED_TYPES = (Card, LoginMessage, AuthResponse)
+_TYPES = {True: _HARDENED_TYPES, False: tuple(map(_without_steps, _HARDENED_TYPES))}
 
 
 @dataclass
@@ -69,12 +110,13 @@ def _verifier(
 
 @dataclass(frozen=True)
 class Scheme:
-    """One scheme: its card and wire message types, and whether it is hardened."""
+    """One scheme: whether it is hardened, and the card and wire types that follow."""
 
-    card: type
-    login_message: type
-    auth_response: type
     hardened: bool
+
+    def __post_init__(self) -> None:
+        for name, cls in zip(("card", "login_message", "auth_response"), _TYPES[self.hardened]):
+            object.__setattr__(self, name, cls)
 
     def _seal(self, identity_key: Digest, verifier: Digest) -> dict[str, Digest]:
         """The card fields that seal the identity key under a password verifier."""

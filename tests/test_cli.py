@@ -77,6 +77,47 @@ def test_out_writes_file_and_leaves_stdout_clean(tmp_path, capsys):
     assert target.read_text().startswith("step=0 ")
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.log"
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--out", str(target)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --out")
+    assert len(captured.err.splitlines()) == 1
+    assert not target.exists()
+
+
+LAST_SEED = 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--seed", str(LAST_SEED), "--trials", "2"],
+        ["diff", "--seed", str(LAST_SEED - 8)],  # diff runs ten seeds from the base
+    ],
+)
+def test_seeds_past_the_last_are_a_usage_error(capsys, argv):
+    # Every seed a command runs must be one ``--seed`` accepts, so any trial reruns alone.
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: seeds ")
+
+
+def test_largest_base_seeds_that_fit_run(capsys):
+    code, out = run_cli(capsys, "run", "--seed", str(LAST_SEED - 1), "--trials", "2")
+    assert code == 0
+    assert f"seed={LAST_SEED} ==" in out
+    code, out = run_cli(capsys, "diff", "--seed", str(LAST_SEED - 9))
+    assert code == 0
+    assert out.rstrip().endswith("-- confirmed")
+
+
 def test_env_seed_fallback(capsys, monkeypatch):
     monkeypatch.setenv("SMARTAUTH_SEED", "77")
     _, via_env = run_cli(capsys, "run", "--format", "structured-lines")

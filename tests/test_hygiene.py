@@ -1,6 +1,8 @@
 """Source hygiene over the package and the tests, checked with the stdlib ``ast``."""
 
 import ast
+import builtins
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,3 +37,23 @@ def test_no_unused_imports():
     paths = sorted(package.glob("*.py")) + sorted(tests.glob("*.py"))
     unused = {str(path.relative_to(ROOT)): _unused_imports(path) for path in paths}
     assert {path: names for path, names in unused.items() if names} == {}
+
+
+def test_readme_code_names_exist():
+    """Each backticked code name in the README's prose is a word of the package or a builtin.
+
+    A code name is a Python identifier, possibly dotted, with an ``_`` or a
+    capital letter in it; fenced blocks are skipped.
+    """
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    prose = re.sub(r"^```.*?^```", "", readme, flags=re.DOTALL | re.MULTILINE)
+    names = {
+        token
+        for token in re.findall(r"`([^`\n]+)`", prose)
+        if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", token) and re.search(r"[_A-Z]", token)
+    }
+    words = set(dir(builtins))
+    for path in (ROOT / "src" / "smartauth").glob("*.py"):
+        words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    assert names, "no code names found in the README"
+    assert sorted(name for name in names if not set(name.split(".")) <= words) == []

@@ -2,11 +2,13 @@
 independent equation-by-equation oracle."""
 
 import random
+from dataclasses import fields as dataclass_fields
 
 import pytest
 
 from smartauth import Digest, DigestRng, Reason, Rejected, baseline, improved
 from smartauth.channel import tamper_message
+from smartauth.protocol import STEP_FIELDS, Scheme
 
 from support import FixedRng, exchange, make_setup, raw_hash, xor_bytes
 
@@ -315,3 +317,35 @@ def test_hash_count_delta_against_baseline_is_two():
         exchange(mod, s)
         counts[mod.__name__] = s.hasher.count - before
     assert counts["smartauth.improved"] - counts["smartauth.baseline"] == 2
+
+
+def _field_names(cls):
+    return [f.name for f in dataclass_fields(cls)]
+
+
+def test_card_and_wire_types_are_the_hardened_ones_less_the_step_fields():
+    # Field order matters: the tamper scenario picks a field by its position.
+    assert _field_names(baseline.Card) == ["bio_template", "sealed_key", "shared_secret", "salt"]
+    assert _field_names(improved.Card) == [
+        "bio_template", "verifier", "sealed_key", "shared_secret", "salt"
+    ]
+    assert _field_names(baseline.LoginMessage) == [
+        "user_id", "masked_nonce", "masked_pw_digest", "checksum"
+    ]
+    assert _field_names(improved.LoginMessage) == [
+        "user_id", "masked_nonce", "nonce_tag", "masked_pw_digest", "checksum"
+    ]
+    assert _field_names(baseline.AuthResponse) == ["masked_server_nonce", "server_checksum"]
+    assert _field_names(improved.AuthResponse) == [
+        "masked_server_nonce", "server_nonce_tag", "server_checksum"
+    ]
+
+    unhardened, hardened = Scheme(hardened=False), improved.SCHEME
+    assert set(STEP_FIELDS) == {"verifier", "nonce_tag", "server_nonce_tag"}
+    for attr in ("card", "login_message", "auth_response"):
+        expected = [n for n in _field_names(getattr(hardened, attr)) if n not in STEP_FIELDS]
+        assert _field_names(getattr(unhardened, attr)) == expected
+    assert improved.SCHEME.card is improved.Card
+    assert improved.SCHEME.login_message is improved.LoginMessage
+    assert improved.SCHEME.auth_response is improved.AuthResponse
+    assert unhardened.card is baseline.Card  # the baseline types are built once
