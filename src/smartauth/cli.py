@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 from typing import NoReturn
 
 from .scenarios import (
@@ -86,37 +85,48 @@ def _text_report(trial: int, result: ScenarioResult, transcript) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_summary(args, matched: list[bool]) -> str:
+def _run_summary(args, matched: int) -> str:
     key = (args.scheme, args.scenario)
     verdict, _ = EXPECTED_VERDICTS[key]
-    tally = f"{sum(matched)}/{len(matched)}"
+    tally = f"{matched}/{args.trials}"
     lines = [f"expected verdict: {verdict}; matched: {tally}"]
     if key in SUMMARY_CAPTIONS:
         lines.append(f"{SUMMARY_CAPTIONS[key]}: {tally}")
     return "\n".join(lines) + "\n"
 
 
-def cmd_run(args, seed: int, digest_size: int) -> int:
-    chunks = []
-    matched = []
-    for trial, trial_seed in enumerate(_seed_range(seed, args.trials)):
+def _write_trials(args, seeds: range, digest_size: int, out) -> int:
+    """Write each trial's report as soon as it is built; 0 iff every trial matched."""
+    matched = 0
+    for trial, trial_seed in enumerate(seeds):
         transcript, result = run_scenario(args.scheme, args.scenario, trial_seed, digest_size)
-        matched.append(matches_expected(result))
+        matched += matches_expected(result)
         if args.format == "structured-lines":
-            chunks.append(transcript.render())
+            out.write(transcript.render())
         else:
-            chunks.append(_text_report(trial, result, transcript))
+            out.write(_text_report(trial, result, transcript))
     if args.format == "text":
-        chunks.append(_run_summary(args, matched))
-    output = "".join(chunks)
-    if args.out is not None:
+        out.write(_run_summary(args, matched))
+    return 0 if matched == len(seeds) else 1
+
+
+def cmd_run(args, seed: int, digest_size: int) -> int:
+    seeds = _seed_range(seed, args.trials)
+    if args.out is None:
         try:
-            Path(args.out).write_text(output, encoding="utf-8")
-        except OSError as exc:
-            _usage_error(f"cannot write --out: {exc}")
-    else:
-        sys.stdout.write(output)
-    return 0 if all(matched) else 1
+            return _write_trials(args, seeds, digest_size, sys.stdout)
+        except BrokenPipeError:
+            # The reader is gone (``run | head``): run no more trials, and
+            # point stdout at devnull so the exit flush raises nothing.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+    # Opened before the first trial, so an unwritable file fails at once; a
+    # write that fails later (a full disk) is the same usage error.
+    try:
+        with open(args.out, "w", encoding="utf-8") as out:
+            return _write_trials(args, seeds, digest_size, out)
+    except OSError as exc:
+        _usage_error(f"cannot write --out: {exc}")
 
 
 def cmd_diff(args, seed: int, digest_size: int) -> int:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from smartauth import cli
 from smartauth.cli import main
 
 
@@ -87,6 +88,16 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert captured.err.startswith("error: cannot write --out")
     assert len(captured.err.splitlines()) == 1
     assert not target.exists()
+
+
+def test_unwritable_out_fails_before_the_first_trial(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "run_scenario", lambda *args: calls.append(args))
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--trials", "5", "--out", str(tmp_path / "missing" / "x.log")])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write --out")
+    assert calls == []
 
 
 LAST_SEED = 2**64 - 1
@@ -191,6 +202,18 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "verdict: accept" in proc.stdout
+
+
+def test_a_closed_pipe_stops_run_without_a_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "smartauth", "run", "--trials", "2000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"== trial 0 ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
 
 
 # sha256 over the stdout and exit code of each command below, in order. It pins

@@ -5,6 +5,8 @@ import builtins
 import re
 from pathlib import Path
 
+from smartauth.scenarios import EXPECTED_VERDICTS, SCENARIOS, SCHEMES
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -57,3 +59,21 @@ def test_readme_code_names_exist():
         words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
     assert names, "no code names found in the README"
     assert sorted(name for name in names if not set(name.split(".")) <= words) == []
+
+
+def test_readme_scenario_table_matches_expected_verdicts():
+    """The README's scenario table lists ``SCENARIOS`` in order, and each cell opens
+    with its expected verdict: the class, or ``class:reason``."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scenarios\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| ([^|]+) \| ([^|]+) \|$", section, flags=re.MULTILINE)
+    assert [scenario for scenario, *_ in rows] == list(SCENARIOS)
+    mismatches = []
+    for scenario, *cells in rows:
+        for scheme, cell in zip(SCHEMES, cells):
+            verdict, expected = EXPECTED_VERDICTS[(scheme, scenario)]
+            want = verdict if expected in (None, verdict) else f"{verdict}:{expected.value}"
+            first_word = cell.split()[0]
+            if first_word != want:
+                mismatches.append((scheme, scenario, first_word, want))
+    assert mismatches == []

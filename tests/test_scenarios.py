@@ -5,9 +5,18 @@ import hashlib
 
 import pytest
 
-from smartauth import SCENARIOS, SCHEMES, matches_expected, measure_costs, run_scenario
+from smartauth import (
+    SCENARIOS,
+    SCHEMES,
+    Reason,
+    ScenarioResult,
+    matches_expected,
+    measure_costs,
+    run_scenario,
+)
 from smartauth.cli import _text_report, main
-from smartauth.scenarios import _Env, _login_exchange, _replay_to_server, _run
+from smartauth.runtime import LOCAL_REASONS
+from smartauth.scenarios import _Env, _login_exchange, _replay_to_server, _run, verdict_class
 
 from support import raw_hash
 
@@ -20,6 +29,44 @@ def test_every_scenario_matches_its_expected_verdict(scheme, scenario):
     for seed in (0, 1, 7):
         _, result = run_scenario(scheme, scenario, seed)
         assert matches_expected(result), (scheme, scenario, seed, result.verdict, result.reason)
+
+
+# Whether ``matches_expected`` accepts an outcome, on synthetic results: per
+# row, an accept, a card-local reason, the expected reason and another wire
+# reason.  ``tamper`` expects the ``reject`` class, so every wire reason
+# matches it, and an accept or a card-local reason does not.
+MATCH_TRUTH_TABLE = [
+    *[(scheme, "honest", reason, reason is None)
+      for scheme in SCHEMES for reason in (None, Reason.BIOMETRIC_MISMATCH, Reason.REPLAY)],
+    *[(scheme, "replay", reason, reason is Reason.REPLAY)
+      for scheme in SCHEMES
+      for reason in (None, Reason.WRONG_PASSWORD, Reason.REPLAY, Reason.CHECKSUM_MISMATCH)],
+    ("baseline", "wrong-password", None, False),
+    ("baseline", "wrong-password", Reason.WRONG_PASSWORD, False),
+    ("baseline", "wrong-password", Reason.CHECKSUM_MISMATCH, True),
+    ("baseline", "wrong-password", Reason.REPLAY, False),
+    ("improved", "wrong-password", None, False),
+    ("improved", "wrong-password", Reason.BIOMETRIC_MISMATCH, False),
+    ("improved", "wrong-password", Reason.WRONG_PASSWORD, True),
+    ("improved", "wrong-password", Reason.CHECKSUM_MISMATCH, False),
+    *[(scheme, "tamper", reason, reason is not None and reason not in LOCAL_REASONS)
+      for scheme in SCHEMES for reason in (None, *Reason)],
+]
+
+
+@pytest.mark.parametrize("scheme,scenario,reason,matches", MATCH_TRUTH_TABLE)
+def test_matches_expected_truth_table(scheme, scenario, reason, matches):
+    result = ScenarioResult(scheme, scenario, seed=0, reason=reason, messages_sent=0,
+                            hash_counts={"client": 0, "server": 0})
+    assert matches_expected(result) is matches
+
+
+def test_reason_values_are_not_verdict_classes():
+    # ``matches_expected`` compares an expectation with both the reason and
+    # the verdict class, so the two name sets must never meet.
+    classes = {verdict_class(reason) for reason in (None, *Reason)}
+    assert classes == {"accept", "local-reject", "reject"}
+    assert classes.isdisjoint(reason.value for reason in Reason)
 
 
 @pytest.mark.parametrize("scheme,scenario", ALL_COMBOS)
