@@ -10,6 +10,8 @@ message on demand.  Every adversary action lands in the transcript.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields, replace
+from functools import cache
+from typing import NamedTuple
 
 EVENT_KINDS = (
     "send",
@@ -22,8 +24,7 @@ EVENT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One transcript record; fields are (name, hex) pairs sorted by name."""
 
     step: int
@@ -33,16 +34,21 @@ class Event:
     verdict: str = ""
 
     def render(self) -> str:
-        parts = [f"step={self.step} actor={self.actor} kind={self.kind}"]
-        parts.extend(f"{name}={value}" for name, value in self.fields)
-        parts.append(f"verdict={self.verdict or '-'}")
-        return " ".join(parts)
+        step, actor, kind, fields, verdict = self
+        pairs = "".join([f" {name}={value}" for name, value in fields])
+        return f"step={step} actor={actor} kind={kind}{pairs} verdict={verdict or '-'}"
+
+
+@cache
+def _sorted_field_names(message_type: type) -> tuple[str, ...]:
+    return tuple(sorted(f.name for f in dataclass_fields(message_type)))
 
 
 def message_fields(message: object) -> tuple[tuple[str, str], ...]:
     """Hex-encode a wire message's dataclass fields, name-sorted."""
-    pairs = [(f.name, getattr(message, f.name).hex()) for f in dataclass_fields(message)]
-    return tuple(sorted(pairs))
+    return tuple(
+        (name, getattr(message, name).hex()) for name in _sorted_field_names(type(message))
+    )
 
 
 class Transcript:
@@ -65,7 +71,7 @@ class Transcript:
         return event
 
     def render(self) -> str:
-        return "\n".join(event.render() for event in self.events) + "\n"
+        return "\n".join([event.render() for event in self.events]) + "\n"
 
     @property
     def final(self) -> Event:
@@ -112,13 +118,16 @@ class AdversarialChannel:
         """Carry one message; returns what arrives."""
         self.sent += 1
         self.captured.append(message)
-        self.transcript.add(sender, "send", message_fields(message))
+        fields = message_fields(message)
+        self.transcript.add(sender, "send", fields)
         delivered = message
         if self.policy is not None and hasattr(message, self.policy.field):
             delivered = tamper_message(message, self.policy.field, self.policy.bit_index)
             self._act(f"tamper:{self.policy.field}:bit{self.policy.bit_index}")
             self.policy = None  # one flip per scenario
-        self.transcript.add(receiver, "receive", message_fields(delivered))
+            fields = message_fields(delivered)
+        # An untouched message arrives with the fields it was sent with.
+        self.transcript.add(receiver, "receive", fields)
         return delivered
 
     def replay(self, index: int, receiver: str):

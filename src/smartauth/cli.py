@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from typing import NoReturn
 
 from .scenarios import (
@@ -118,7 +119,9 @@ def cmd_run(args, seed: int, digest_size: int) -> int:
         except BrokenPipeError:
             # The reader is gone (``run | head``): run no more trials, and
             # point stdout at devnull so the exit flush raises nothing.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
             return 1
     # Opened before the first trial, so an unwritable file fails at once; a
     # write that fails later (a full disk) is the same usage error.
@@ -185,7 +188,9 @@ def cmd_cost(args, seed: int, digest_size: int) -> int:
     return 0 if ok else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: every choice is a module constant."""
     parser = argparse.ArgumentParser(
         prog="smartauth",
         description="Run, compare, and cost two smart-card authentication schemes.",
@@ -215,8 +220,11 @@ def main(argv: list[str] | None = None) -> int:
     cost_p = sub.add_parser("cost", parents=[common],
                             help="per-phase hash counts and card storage")
     cost_p.set_defaults(func=cmd_cost)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     # Resolved even when ``diff --seeds`` makes the seed unused, so a bad
     # SMARTAUTH_SEED is always an error.
     return args.func(args, _resolve_seed(args.seed), HASH_CHOICES[args.hash])

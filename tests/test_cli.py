@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, output determinism, seed handling."""
 
 import hashlib
+import os
 import subprocess
 import sys
 
@@ -192,6 +193,39 @@ def test_cost_toy_width_reports_small_digests(capsys, name, width):
     code, out = run_cli(capsys, "cost", "--hash", name)
     assert code == 0
     assert f"storage delta: 1 digest ({width} bytes)" in out
+
+
+def test_diff_seeds_do_not_leak_into_the_next_call(capsys):
+    _, first = run_cli(capsys, "diff", "--seeds", "1", "2")
+    _, second = run_cli(capsys, "diff")
+    assert " 2/2 ok" in first.splitlines()[0]
+    assert " 10/10 ok" in second.splitlines()[0]
+
+
+def test_run_format_does_not_leak_into_the_next_call(capsys):
+    _, first = run_cli(capsys, "run", "--format", "structured-lines")
+    _, second = run_cli(capsys, "run")
+    assert "expected verdict:" not in first
+    assert "expected verdict: accept; matched: 1/1" in second
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_closed_pipe_leaks_no_descriptor():
+    # The child's stdout is a pipe whose reader is already closed.
+    script = (
+        "import os, sys\n"
+        "from smartauth import cli\n"
+        "read_end, write_end = os.pipe()\n"
+        "os.close(read_end)\n"
+        "os.dup2(write_end, sys.stdout.fileno())\n"
+        "os.close(write_end)\n"
+        "before = len(os.listdir('/proc/self/fd'))\n"
+        "code = cli.main(['run', '--trials', '200'])\n"
+        "after = len(os.listdir('/proc/self/fd'))\n"
+        "print(code, after - before, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stderr.split() == ["1", "0"]
 
 
 def test_module_entry_point_runs():

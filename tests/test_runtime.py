@@ -5,6 +5,7 @@ import pytest
 from smartauth import (
     AdversarialChannel,
     Digest,
+    Event,
     ServerState,
     SnapshotError,
     Tamper,
@@ -258,6 +259,30 @@ def test_tamper_policy_flips_exactly_one_bit_once():
     assert channel.transmit("client", "server", again) is again
 
 
+def _send_and_receive(transcript):
+    return [e for e in transcript.events if e.kind in ("send", "receive")]
+
+
+def test_untampered_receive_shows_the_sent_fields():
+    transcript = Transcript()
+    AdversarialChannel(transcript).transmit("client", "server", _sample_message())
+    send, receive = _send_and_receive(transcript)
+    assert receive.fields == send.fields
+
+
+def test_tampered_receive_shows_the_flipped_field():
+    transcript = Transcript()
+    channel = AdversarialChannel(transcript, policy=Tamper("checksum", 9))
+    message = _sample_message()
+    channel.transmit("client", "server", message)
+    send, receive = _send_and_receive(transcript)
+    flipped = flip_bit(bytes(message.checksum), 9).hex()
+    assert dict(send.fields)["checksum"] == message.checksum.hex()
+    assert receive.fields == tuple(
+        (name, flipped if name == "checksum" else value) for name, value in send.fields
+    )
+
+
 def test_tamper_policy_waits_for_a_message_with_the_field():
     transcript = Transcript()
     channel = AdversarialChannel(transcript, policy=Tamper("server_checksum", 0))
@@ -306,6 +331,11 @@ def test_event_render_is_stable():
         "step=0 actor=client kind=send a_field=ff b_field=0a verdict=-\n"
         "step=1 actor=server kind=verify verdict=checksum:ok\n"
     )
+    event = transcript.events[1]
+    for name in ("step", "actor", "kind", "fields", "verdict"):
+        with pytest.raises(AttributeError):
+            setattr(event, name, getattr(event, name))
+    assert Event(3, "run", "accept").render() == "step=3 actor=run kind=accept verdict=-"
 
 
 def test_transcript_rejects_unknown_kind():
