@@ -9,7 +9,7 @@ small line-oriented text format.
 
 from __future__ import annotations
 
-import codecs
+import binascii
 import os
 import re
 import tempfile
@@ -123,94 +123,73 @@ class SnapshotError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-def _escape_id(identity: bytes) -> str:
-    out = []
-    for b in identity:
-        if 0x21 <= b <= 0x7E and b != 0x5C:
-            out.append(chr(b))
-        else:
-            out.append(f"\\x{b:02x}")
-    return "".join(out)
+# The one statement of canonical snapshot text: an identity keeps printable
+# 7-bit bytes other than ``\`` and writes every other byte as a lowercase
+# ``\xhh`` escape.  The loader accepts a line only if this writer gives it back.
+_ESCAPED = re.compile(rb"[^\x21-\x5b\x5d-\x7e]")
+_ESCAPE_SEQ = re.compile(rb"\\x([0-9a-f]{2})")
 
 
-# Canonical snapshot text, exactly what the writer produces: an identity keeps
-# printable 7-bit bytes other than ``\`` and writes every other byte (0x00-0x20,
-# 0x5c, 0x7f-0xff) as a lowercase ``\xhh`` escape; a nonce is lowercase hex.
-# The identity pattern is written as plain-run (escape plain-run)* because a
-# per-character alternation makes the regex several times slower.
-_PLAIN_RUN = r"[\x21-\x5b\x5d-\x7e]*"
-_ID_RE = re.compile(
-    rf"{_PLAIN_RUN}(?:\\x(?:[01][0-9a-f]|20|5c|7f|[89a-f][0-9a-f]){_PLAIN_RUN})*"
-)
-# Looked up once: ``str.decode("unicode_escape")`` repeats the codec lookup
-# on every call, which costs more than the decoding itself.
-_decode_escapes = codecs.getdecoder("unicode_escape")
+def _entry_line(identity: bytes, nonce: bytes) -> bytes:
+    """One snapshot line, without its line feed: ``identity<TAB>nonce-hex``."""
+    if not nonce:
+        raise ValueError("empty nonce")
+    return _ESCAPED.sub(lambda m: b"\\x%02x" % m[0][0], identity) + b"\t" + binascii.hexlify(nonce)
 
 
 def save_replay_db(server: ServerState, path: "str | Path") -> None:
     """Write the replay database as sorted ``identity<TAB>nonce-hex`` lines.
 
-    The text goes to a private temporary file (mode 0600) in the same
-    directory, which then replaces ``path`` in one step: a reader sees the
-    old snapshot or the new one, never a partial file.
+    This writer defines the format: ``load_replay_db`` accepts exactly the
+    lines it writes.  A database it could not reload (an empty nonce, or
+    nonces of more than one width) raises ``ValueError`` before any file
+    is created.  The text goes to a private temporary file (mode 0600) in
+    the same directory, which then replaces ``path`` in one step: a reader
+    sees the old snapshot or the new one, never a partial file.
     """
     path = Path(path)
-    lines = [SNAPSHOT_HEADER]
-    for user_id in sorted(server.replay_db):
-        lines.append(f"{_escape_id(user_id)}\t{server.replay_db[user_id].hex()}")
-    lines.append("")  # the final newline
+    db = server.replay_db
+    if len({len(nonce) for nonce in db.values()}) > 1:
+        raise ValueError("inconsistent nonce width")
+    lines = [_entry_line(user_id, db[user_id]) for user_id in sorted(db)]
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with open(fd, "wb") as fh:
-            fh.write("\n".join(lines).encode("utf-8"))
+            fh.write(b"\n".join([SNAPSHOT_HEADER.encode(), *lines, b""]))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def _read_utf8(path: "str | Path") -> str:
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SnapshotError(data.count(b"\n", 0, exc.start) + 1, "not valid UTF-8") from None
-
-
 def load_replay_db(path: "str | Path") -> dict[bytes, Digest]:
     """Parse a snapshot back into a replay map; strict, with line numbers.
 
-    Every line, the last one included, ends in a line feed and nothing
-    else.  Identities and nonces are accepted only in the canonical form
-    ``save_replay_db`` writes, identities in strictly ascending byte
-    order; anything else raises ``SnapshotError`` naming the offending
-    line.
+    Every line ends in a line feed; a missing final newline is reported at
+    the last line.  An entry line is accepted only if the line writer
+    ``save_replay_db`` uses gives back its exact bytes, its nonce has the
+    first entry's width and its identity follows the previous one in
+    strictly ascending byte order.  Otherwise the first line that breaks a
+    rule raises ``SnapshotError`` naming it.
     """
-    lines = _read_utf8(path).split("\n")
-    if lines.pop() != "":
+    lines = Path(path).read_bytes().split(b"\n")
+    if lines.pop() != b"":
         raise SnapshotError(len(lines) + 1, "missing final newline")
-    if not lines or lines[0] != SNAPSHOT_HEADER:
+    if not lines or lines[0] != SNAPSHOT_HEADER.encode():
         raise SnapshotError(1, f"expected header {SNAPSHOT_HEADER!r}")
     entries: dict[bytes, Digest] = {}
     width: int | None = None
     previous: bytes | None = None
     for line_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            raise SnapshotError(line_no, "blank line")
-        if line.count("\t") != 1:
-            raise SnapshotError(line_no, "expected identity<TAB>hex")
-        id_text, hex_text = line.split("\t")
-        if not _ID_RE.fullmatch(id_text):
-            raise SnapshotError(line_no, "identity is not in canonical escaped form")
-        user_id = _decode_escapes(id_text)[0].encode("latin-1")
+        id_text, _, hex_text = line.partition(b"\t")
+        user_id = _ESCAPE_SEQ.sub(lambda m: bytes((int(m[1], 16),)), id_text)
         try:
-            raw = bytes.fromhex(hex_text)
-        except ValueError:
-            raise SnapshotError(line_no, "bad nonce hex") from None
-        if not raw:
-            raise SnapshotError(line_no, "empty nonce")
-        if raw.hex() != hex_text:
-            raise SnapshotError(line_no, "nonce hex is not in canonical form")
+            raw = binascii.unhexlify(hex_text)
+            canonical = _entry_line(user_id, raw) == line
+        except ValueError as exc:
+            raise SnapshotError(line_no, f"bad nonce: {exc}") from None
+        if not canonical:
+            raise SnapshotError(line_no, "not in the canonical form save_replay_db writes")
         if width is None:
             width = len(raw)
         elif len(raw) != width:

@@ -152,6 +152,10 @@ def test_snapshot_empty_db(tmp_path):
         ("smartauth-replaydb v1\nalice\t0011\x85bob\t2233\n", 2),  # NEL is no line break
         ("smartauth-replaydb v1\nalice\t0011\u2028bob\t2233\n", 2),  # nor is U+2028
         (b"smartauth-replaydb v1\nalice\t0011\nb\xffb\t2233\n", 3),  # not UTF-8
+        ("smartauth-replaydb v1\nalice\t00\t11\n", 2),  # two tabs
+        ("smartauth-replaydb v1\na\\u0041\t0011\n", 2),  # \xhh is the only escape
+        ("smartauth-replaydb v1\na\\N{DIGIT ONE}\t0011\n", 2),
+        (b"smartauth-replaydb v1\nbad\\zesc\t0011\nb\xffb\t2233\n", 2),  # first bad line wins
     ],
 )
 def test_snapshot_parse_errors_carry_line_numbers(tmp_path, content, line_no):
@@ -209,6 +213,34 @@ def test_snapshot_save_replaces_the_file_in_one_step(tmp_path, monkeypatch):
         save_replay_db(_server({b"bob": Digest(b"\x02" * 4)}), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["db.snapshot"]  # no temp file left
+
+
+@pytest.mark.parametrize(
+    "db",
+    [
+        {b"a": Digest(b"\x01" * 2), b"b": Digest(b"\x02" * 4)},
+        {b"a": Digest(b"")},
+    ],
+    ids=["mixed-widths", "empty-nonce"],
+)
+def test_snapshot_save_refuses_a_db_it_could_not_reload(tmp_path, db):
+    path = tmp_path / "db.snapshot"
+    path.write_bytes(b"previous snapshot\n")
+    with pytest.raises(ValueError):
+        save_replay_db(_server(db), path)
+    assert path.read_bytes() == b"previous snapshot\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["db.snapshot"]  # no temp file made
+
+
+def test_snapshot_escapes_exactly_the_non_printable_bytes_and_backslash(tmp_path):
+    path = tmp_path / "bytes.snapshot"
+    save_replay_db(_server({bytes([b]): Digest(b"\x5c") for b in range(256)}), path)
+    expected = "smartauth-replaydb v1\n" + "".join(
+        (chr(b) if 0x21 <= b <= 0x7E and b != 0x5C else f"\\x{b:02x}") + "\t5c\n"
+        for b in range(256)
+    )
+    assert path.read_bytes() == expected.encode("ascii")
+    assert load_replay_db(path) == {bytes([b]): Digest(b"\x5c") for b in range(256)}
 
 
 def test_snapshot_duplicate_reported_at_second_occurrence(tmp_path):

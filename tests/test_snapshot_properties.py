@@ -34,9 +34,13 @@ replay_dbs = st.tuples(
 
 # Whole ``identity<TAB>hex`` lines from small alphabets that mix canonical
 # pieces (``a``, ``\x5c``, ``00``) with near misses (a needless escape, a bare
-# backslash, a raw space, non-ASCII text, uppercase, odd and empty hex).
+# backslash, an unknown, short or ``\u`` escape, a raw space or tab, non-ASCII
+# text, uppercase, odd and empty hex).
 _identities = st.lists(
-    st.sampled_from(["a", "b", "\\x5c", "\\x41", "\\", " ", "€"]), max_size=3
+    st.sampled_from(
+        ["a", "b", "\\x5c", "\\x41", "\\", " ", "€", "\\q", "\\x4", "\\u0041", "\t"]
+    ),
+    max_size=3,
 ).map("".join)
 _hexes = st.lists(st.sampled_from(["00", "0A", "1", ""]), max_size=2).map("".join)
 _lines = st.tuples(_identities, _hexes).map(lambda pair: "\t".join(pair) + "\n")
