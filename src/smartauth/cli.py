@@ -136,23 +136,21 @@ def cmd_diff(args, seed: int, digest_size: int) -> int:
     seeds = args.seeds if args.seeds else _seed_range(seed, 10)
     all_ok = True
     for scenario in SCENARIOS:
-        diverged = 0
-        sample = None
-        for trial_seed in seeds:
-            _, result_b = run_scenario("baseline", scenario, trial_seed, digest_size)
-            _, result_i = run_scenario("improved", scenario, trial_seed, digest_size)
-            if result_b.verdict != result_i.verdict:
-                diverged += 1
-            sample = (result_b, result_i)
         expect_diverge = scenario in DIVERGING_SCENARIOS
-        ok = diverged == len(seeds) if expect_diverge else diverged == 0
+        matched = 0
+        for trial_seed in seeds:
+            results = [run_scenario(scheme, scenario, trial_seed, digest_size)[1] for scheme in SCHEMES]
+            matched += (len({result.verdict for result in results}) > 1) == expect_diverge
+        ok = matched == len(seeds)
         all_ok &= ok
+        # The last seed's verdicts stand for the scenario.
+        verdicts = " ".join(
+            f"{scheme}={result.verdict_text:<{width}}"
+            for scheme, result, width in zip(SCHEMES, results, (24, 28))
+        )
         print(
-            f"{scenario:<24} baseline={sample[0].verdict_text:<24} "
-            f"improved={sample[1].verdict_text:<28} "
-            f"{'diverge' if expect_diverge else 'agree':<8} "
-            f"{len(seeds) - diverged if not expect_diverge else diverged}/{len(seeds)} "
-            f"{'ok' if ok else 'FAIL'}"
+            f"{scenario:<24} {verdicts} {'diverge' if expect_diverge else 'agree':<8} "
+            f"{matched}/{len(seeds)} {'ok' if ok else 'FAIL'}"
         )
     print(
         "divergence expected exactly on: " + ", ".join(DIVERGING_SCENARIOS)
@@ -162,22 +160,16 @@ def cmd_diff(args, seed: int, digest_size: int) -> int:
 
 
 def cmd_cost(args, seed: int, digest_size: int) -> int:
-    report = measure_costs(digest_size, seed)
+    report = measure_costs(digest_size)
     print("hash invocations per honest run (registration and biometric gate excluded)")
     print()
-    print(f"{'phase':<28} {'baseline':>8} {'improved':>8}")
-    for phase in report.phases["baseline"]:
-        print(
-            f"{phase:<28} {report.phases['baseline'][phase]:>8} "
-            f"{report.phases['improved'][phase]:>8}"
-        )
-    print(f"{'total':<28} {report.total('baseline'):>8} {report.total('improved'):>8}")
+    columns = [[scheme, *report.phases[scheme].values(), report.total(scheme)] for scheme in SCHEMES]
+    for label, *cells in zip(["phase", *report.phases[SCHEMES[0]], "total"], *columns):
+        print(f"{label:<28}" + "".join(f" {cell:>8}" for cell in cells))
     print()
     print(f"hash delta (improved - baseline): {report.hash_delta}")
-    print(
-        f"card storage: baseline={report.card_digests['baseline']} digests + salt, "
-        f"improved={report.card_digests['improved']} digests + salt"
-    )
+    storage = (f"{scheme}={report.card_digests[scheme]} digests + salt" for scheme in SCHEMES)
+    print("card storage: " + ", ".join(storage))
     print(
         f"storage delta: {report.storage_delta_digests} digest "
         f"({report.storage_delta_digests * digest_size} bytes)"

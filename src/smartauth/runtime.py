@@ -165,16 +165,16 @@ def save_replay_db(server: ServerState, path: "str | Path") -> None:
 def load_replay_db(path: "str | Path") -> dict[bytes, Digest]:
     """Parse a snapshot back into a replay map; strict, with line numbers.
 
-    Every line ends in a line feed; a missing final newline is reported at
-    the last line.  An entry line is accepted only if the line writer
-    ``save_replay_db`` uses gives back its exact bytes, its nonce has the
-    first entry's width and its identity follows the previous one in
-    strictly ascending byte order.  Otherwise the first line that breaks a
-    rule raises ``SnapshotError`` naming it.
+    Every line ends in a line feed.  An entry line is accepted only if the
+    line writer ``save_replay_db`` uses gives back its exact bytes, its
+    nonce has the first entry's width and its identity follows the
+    previous one in strictly ascending byte order.  Otherwise the first
+    line that breaks a rule, a last line without its line feed included,
+    raises ``SnapshotError`` naming it.
     """
-    lines = Path(path).read_bytes().split(b"\n")
-    if lines.pop() != b"":
-        raise SnapshotError(len(lines) + 1, "missing final newline")
+    *lines, tail = Path(path).read_bytes().split(b"\n")
+    if tail:
+        lines.append(tail)
     if not lines or lines[0] != SNAPSHOT_HEADER.encode():
         raise SnapshotError(1, f"expected header {SNAPSHOT_HEADER!r}")
     entries: dict[bytes, Digest] = {}
@@ -199,4 +199,6 @@ def load_replay_db(path: "str | Path") -> dict[bytes, Digest]:
             raise SnapshotError(line_no, "identity repeated or out of ascending order")
         previous = user_id
         entries[user_id] = Digest(raw)
+    if tail:
+        raise SnapshotError(len(lines), "missing final newline")
     return entries

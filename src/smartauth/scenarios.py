@@ -255,14 +255,13 @@ def _scn_replay(env: _Env) -> tuple[Digest | None, object]:
 
 
 def _tamper_targets(env: _Env) -> list[tuple[str, int]]:
-    size_bits = env.digest_size * 8
-    targets = [("user_id", len(env.user_id) * 8)]
-    for f in dataclass_fields(env.mod.LoginMessage):
-        if f.name != "user_id":
-            targets.append((f.name, size_bits))
-    for f in dataclass_fields(env.mod.AuthResponse):
-        targets.append((f.name, size_bits))
-    return targets
+    """Each wire field and its width in bits, in declaration order, which a seed's draw relies on."""
+    widths = {"user_id": len(env.user_id)}
+    return [
+        (f.name, widths.get(f.name, env.digest_size) * 8)
+        for message_type in (env.mod.LoginMessage, env.mod.AuthResponse)
+        for f in dataclass_fields(message_type)
+    ]
 
 
 def _scn_tamper(env: _Env) -> tuple[Digest | None, object]:
@@ -399,12 +398,12 @@ class CostReport:
         return self.card_digests["improved"] - self.card_digests["baseline"]
 
 
-def measure_costs(digest_size: int = SHA256_SIZE, seed: int = 0) -> CostReport:
-    """Instrument one honest run per scheme and tally per-phase hash calls."""
+def measure_costs(digest_size: int = SHA256_SIZE) -> CostReport:
+    """Tally per-phase hash calls of one honest run per scheme; no count depends on the seed."""
     phases: dict[str, dict[str, int]] = {}
     card_digests: dict[str, int] = {}
     for scheme in SCHEMES:
-        env = _Env(scheme, "hash-count", seed, digest_size)
+        env = _Env(scheme, "hash-count", 0, digest_size)
         _login_exchange(env, env.password)
         phases[scheme] = {
             "login (client)": env.login_hashes,

@@ -9,6 +9,7 @@ import pytest
 
 from smartauth import cli
 from smartauth.cli import main
+from smartauth.scenarios import measure_costs
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +187,28 @@ def test_cost_reports_deltas(capsys):
     assert code == 0
     assert "hash delta (improved - baseline): 2" in out
     assert "storage delta: 1 digest (32 bytes)" in out
+
+
+def test_cost_exits_one_when_the_deltas_break_the_contract(capsys, monkeypatch):
+    report = measure_costs()
+    report.phases["improved"]["login (client)"] += 1
+    assert report.hash_delta == 3
+    monkeypatch.setattr(cli, "measure_costs", lambda digest_size: report)
+    code, out = run_cli(capsys, "cost")
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "cost contract violated: expected hash delta 2 and storage delta 1 digest"
+    )
+
+
+def test_diff_exits_one_on_a_toy_width_collision(capsys):
+    # At width 1, seed 60's wrong password has the real verifier, so the
+    # schemes agree on that seed of ``wrong-password``.
+    code, out = run_cli(capsys, "diff", "--hash", "toy8", "--seed", "55")
+    assert code == 1
+    lines = out.splitlines()
+    assert next(l for l in lines if l.startswith("wrong-password ")).endswith(" diverge  9/10 FAIL")
+    assert lines[-1].endswith(" -- VIOLATED")
 
 
 @pytest.mark.parametrize("name, width", [("standard", 32), ("toy8", 1), ("toy16", 2)])

@@ -5,6 +5,7 @@ import builtins
 import re
 from pathlib import Path
 
+from smartauth import cli
 from smartauth.scenarios import EXPECTED_VERDICTS, SCENARIOS, SCHEMES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,3 +78,12 @@ def test_readme_scenario_table_matches_expected_verdicts():
             if first_word != want:
                 mismatches.append((scheme, scenario, first_word, want))
     assert mismatches == []
+
+
+def test_readme_cost_block_is_the_command_output(capsys):
+    """The untagged fenced block under README ``### cost`` is what ``smartauth cost`` prints."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### cost\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", section, flags=re.DOTALL | re.MULTILINE)
+    assert cli.main(["cost"]) == 0
+    assert [body for language, body in blocks if not language] == [capsys.readouterr().out]

@@ -156,6 +156,7 @@ def test_snapshot_empty_db(tmp_path):
         ("smartauth-replaydb v1\na\\u0041\t0011\n", 2),  # \xhh is the only escape
         ("smartauth-replaydb v1\na\\N{DIGIT ONE}\t0011\n", 2),
         (b"smartauth-replaydb v1\nbad\\zesc\t0011\nb\xffb\t2233\n", 2),  # first bad line wins
+        ("smartauth-replaydb v1\nbad line\nalice\t0011", 2),  # even before a missing final newline
     ],
 )
 def test_snapshot_parse_errors_carry_line_numbers(tmp_path, content, line_no):
