@@ -25,30 +25,28 @@ EVENT_KINDS = (
 
 
 class Event(NamedTuple):
-    """One transcript record; fields are (name, hex) pairs sorted by name."""
+    """One transcript record; fields are (name, bytes) pairs sorted by name, rendered as hex."""
 
     step: int
     actor: str
     kind: str
-    fields: tuple[tuple[str, str], ...] = ()
+    fields: tuple[tuple[str, bytes], ...] = ()
     verdict: str = ""
 
     def render(self) -> str:
         step, actor, kind, fields, verdict = self
-        pairs = "".join([f" {name}={value}" for name, value in fields])
+        pairs = "".join([f" {name}={value.hex()}" for name, value in fields])
         return f"step={step} actor={actor} kind={kind}{pairs} verdict={verdict or '-'}"
 
 
 @cache
-def _sorted_field_names(message_type: type) -> tuple[str, ...]:
-    return tuple(sorted(f.name for f in dataclass_fields(message_type)))
+def _field_names(message_type: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclass_fields(message_type))
 
 
-def message_fields(message: object) -> tuple[tuple[str, str], ...]:
-    """Hex-encode a wire message's dataclass fields, name-sorted."""
-    return tuple(
-        (name, getattr(message, name).hex()) for name in _sorted_field_names(type(message))
-    )
+def message_fields(message: object) -> tuple[tuple[str, bytes], ...]:
+    """A wire message's dataclass field values, in declaration order."""
+    return tuple((name, getattr(message, name)) for name in _field_names(type(message)))
 
 
 class Transcript:
@@ -61,7 +59,7 @@ class Transcript:
         self,
         actor: str,
         kind: str,
-        fields: tuple[tuple[str, str], ...] = (),
+        fields: tuple[tuple[str, bytes], ...] = (),
         verdict: str = "",
     ) -> Event:
         if kind not in EVENT_KINDS:

@@ -24,6 +24,7 @@ from .scenarios import (
     matches_expected,
     measure_costs,
     run_scenario,
+    verdict_class,
 )
 
 # The one table that names a digest width, in bytes.
@@ -88,9 +89,8 @@ def _text_report(trial: int, result: ScenarioResult, transcript) -> str:
 
 def _run_summary(args, matched: int) -> str:
     key = (args.scheme, args.scenario)
-    verdict, _ = EXPECTED_VERDICTS[key]
     tally = f"{matched}/{args.trials}"
-    lines = [f"expected verdict: {verdict}; matched: {tally}"]
+    lines = [f"expected verdict: {verdict_class(EXPECTED_VERDICTS[key])}; matched: {tally}"]
     if key in SUMMARY_CAPTIONS:
         lines.append(f"{SUMMARY_CAPTIONS[key]}: {tally}")
     return "\n".join(lines) + "\n"

@@ -10,10 +10,9 @@ attempt leaves the card byte-identical.  The protocol steps and the types,
 declared hardened, live in ``protocol``.
 """
 
-from .hashing import Digest
-from .protocol import Scheme
+from . import protocol
 
-SCHEME = Scheme(hardened=True)
+SCHEME = protocol.Scheme(hardened=True)
 
 Card = SCHEME.card
 LoginMessage = SCHEME.login_message
@@ -24,12 +23,5 @@ login = SCHEME.login
 authenticate = SCHEME.authenticate
 verify_server = SCHEME.verify_server
 change_password = SCHEME.change_password
-
-
-def extract_identity_key(card: Card) -> Digest:
-    """What a card thief learns: sealed key XOR verifier is the identity key.
-
-    Available by construction only here; the baseline card does not store
-    the verifier, so there is nothing to XOR against.
-    """
-    return card.sealed_key ^ card.verifier
+# Only this card stores the verifier, so only it yields its identity key to a thief.
+extract_identity_key = protocol.extract_identity_key

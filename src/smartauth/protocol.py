@@ -108,6 +108,11 @@ def _verifier(
     return pw_digest, hasher.hash(pw_digest, bio_template)
 
 
+def extract_identity_key(card) -> Digest:
+    """What a thief learns from any card that stores the verifier: sealed key XOR verifier."""
+    return card.sealed_key ^ card.verifier
+
+
 @dataclass(frozen=True)
 class Scheme:
     """One scheme: whether it is hardened, and the card and wire types that follow."""

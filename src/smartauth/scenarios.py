@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 from . import baseline, improved
 from .channel import AdversarialChannel, Tamper, Transcript
 from .hashing import SHA256_SIZE, Digest, DigestRng, Hasher
+from .protocol import extract_identity_key
 from .runtime import LOCAL_REASONS, Reason, Rejected, RegistrationCenter, ServerState
 
 # The one place a scheme name is bound to its module.
@@ -68,7 +69,7 @@ class ScenarioResult:
 
 def matches_expected(result: ScenarioResult) -> bool:
     """True if the run ended with the expected reason, or in the expected verdict class."""
-    _, expected = EXPECTED_VERDICTS[(result.scheme, result.scenario)]
+    expected = EXPECTED_VERDICTS[(result.scheme, result.scenario)]
     return expected in (result.reason, result.verdict)
 
 
@@ -99,7 +100,6 @@ class _Env:
         self.client_hasher = Hasher(digest_size)
         self.server_hasher = Hasher(digest_size)
         self.transcript = Transcript()
-        self.login_hashes: int | None = None  # client hash count when the last ``login`` returned
         self.channel = AdversarialChannel(self.transcript)
         # Registration happens over a secure channel the adversary never
         # sees, so it produces no transcript events and uses its own hasher.
@@ -140,14 +140,11 @@ def _login_exchange(env: _Env, password: bytes) -> tuple[Digest, object]:
         env.rng,
         probe=env.probe("card"),
     )
-    env.login_hashes = env.client_hasher.count
     delivered = env.channel.transmit("client", "server", message)
     response, server_session = mod.authenticate(
         env.server_hasher, env.server, delivered, env.rng, probe=env.probe("server")
     )
-    env.transcript.add(
-        "server", "key-derived", (("session_key", server_session.session_key.hex()),)
-    )
+    env.transcript.add("server", "key-derived", (("session_key", server_session.session_key),))
     delivered_response = env.channel.transmit("server", "client", response)
     client_key = mod.verify_server(
         env.client_hasher,
@@ -157,7 +154,7 @@ def _login_exchange(env: _Env, password: bytes) -> tuple[Digest, object]:
         env.server.server_id,
         probe=env.probe("client"),
     )
-    env.transcript.add("client", "key-derived", (("session_key", client_key.hex()),))
+    env.transcript.add("client", "key-derived", (("session_key", client_key),))
     return client_key, server_session
 
 
@@ -216,7 +213,7 @@ def _run(env: _Env, script) -> tuple[Transcript, ScenarioResult]:
     env.transcript.add(
         "run",
         "accept" if reason is None else "reject",
-        tuple((name, key.hex()) for name, key in keys.items()),
+        tuple(keys.items()),
         verdict=result.verdict_text,
     )
     return env.transcript, result
@@ -271,10 +268,11 @@ def _scn_tamper(env: _Env) -> tuple[Digest | None, object]:
 
 
 def _scn_stolen_card(env: _Env) -> tuple[Digest | None, object]:
-    breach_fields = [("sealed_key", env.card.sealed_key.hex())]
-    if env.mod.SCHEME.hardened:
-        breach_fields.append(("verifier", env.card.verifier.hex()))
-    env.transcript.add("adversary", "adversary-action", tuple(breach_fields), verdict="card-breach")
+    # The thief reads what the card holds: a verifier only where the card stores one.
+    breach = [("sealed_key", env.card.sealed_key)]
+    if hasattr(env.card, "verifier"):
+        breach.append(("verifier", env.card.verifier))
+    env.transcript.add("adversary", "adversary-action", tuple(breach), verdict="card-breach")
     # The real identity key; uncounted, so no hash count moves.
     truth = env.server_hasher.hash_uncounted(env.user_id, env.server.master_secret)
     _record_extraction(env, truth)
@@ -284,12 +282,10 @@ def _scn_stolen_card(env: _Env) -> tuple[Digest | None, object]:
 
 
 def _record_extraction(env: _Env, truth: Digest) -> None:
-    if env.mod.SCHEME.hardened:
-        extracted = env.mod.extract_identity_key(env.card)
+    if hasattr(env.card, "verifier"):
+        extracted = extract_identity_key(env.card)
         verdict = "identity-key-extraction:ok" if extracted == truth else "identity-key-extraction:fail"
-        env.transcript.add(
-            "adversary", "verify", (("identity_key", extracted.hex()),), verdict=verdict
-        )
+        env.transcript.add("adversary", "verify", (("identity_key", extracted),), verdict=verdict)
     else:
         env.transcript.add(
             "adversary", "adversary-action", verdict="identity-key-extraction:unavailable"
@@ -338,10 +334,10 @@ _TABLE = {
 
 SCENARIOS = tuple(_TABLE)
 
-EXPECTED_VERDICTS: dict[tuple[str, str], tuple[str, object]] = {
-    (scheme, scenario): (verdict_class(reason), reason)
-    for scenario, (_, base, hardened) in _TABLE.items()
-    for scheme, reason in zip(SCHEMES, (base, hardened))
+EXPECTED_VERDICTS: dict[tuple[str, str], Reason | str | None] = {
+    (scheme, scenario): expected
+    for scenario, (_, *expectations) in _TABLE.items()
+    for scheme, expected in zip(SCHEMES, expectations)
 }
 
 # Captions for the match count of the ``run`` summary.
@@ -399,16 +395,21 @@ class CostReport:
 
 
 def measure_costs(digest_size: int = SHA256_SIZE) -> CostReport:
-    """Tally per-phase hash calls of one honest run per scheme; no count depends on the seed."""
+    """One hasher per phase of one honest exchange per scheme; no count depends on the seed."""
     phases: dict[str, dict[str, int]] = {}
     card_digests: dict[str, int] = {}
     for scheme in SCHEMES:
         env = _Env(scheme, "hash-count", 0, digest_size)
-        _login_exchange(env, env.password)
+        login, server, confirm = (Hasher(digest_size) for _ in range(3))
+        message, session = env.mod.login(
+            login, env.card, env.user_id, env.password, env.biometric, env.rng
+        )
+        response, _ = env.mod.authenticate(server, env.server, message, env.rng)
+        env.mod.verify_server(confirm, session, env.card, response, env.server.server_id)
         phases[scheme] = {
-            "login (client)": env.login_hashes,
-            "authentication (server)": env.server_hasher.count,
-            "authentication (client)": env.client_hasher.count - env.login_hashes,
+            "login (client)": login.count,
+            "authentication (server)": server.count,
+            "authentication (client)": confirm.count,
         }
         card_digests[scheme] = sum(
             1

@@ -247,7 +247,9 @@ def test_a_closed_pipe_leaks_no_descriptor():
         "after = len(os.listdir('/proc/self/fd'))\n"
         "print(code, after - before, file=sys.stderr)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
     assert proc.stderr.split() == ["1", "0"]
 
 
@@ -256,6 +258,7 @@ def test_module_entry_point_runs():
         [sys.executable, "-m", "smartauth", "run", "--scenario", "honest", "--seed", "0"],
         capture_output=True,
         text=True,
+        timeout=60,
     )
     assert proc.returncode == 0
     assert "verdict: accept" in proc.stdout

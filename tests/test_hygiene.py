@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 from smartauth import cli
-from smartauth.scenarios import EXPECTED_VERDICTS, SCENARIOS, SCHEMES
+from smartauth.scenarios import EXPECTED_VERDICTS, SCENARIOS, SCHEMES, verdict_class
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,6 +42,38 @@ def test_no_unused_imports():
     assert {path: names for path, names in unused.items() if names} == {}
 
 
+def _scopes(tree: ast.AST) -> dict[ast.AST, str]:
+    """Each node's innermost enclosing class or function, as a dotted name ("" at module level)."""
+    scopes = {}
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            scopes[child] = inner
+            visit(child, inner)
+
+    visit(tree, "")
+    return scopes
+
+
+def test_each_decision_has_one_owner():
+    """Only ``protocol`` names a ``hardened`` attribute, and ``.hex()`` is called only
+    where output is written: ``Event.render``, ``cli._text_report`` and ``Digest.__repr__``."""
+    hardened_readers, hex_callers = set(), set()
+    for path in sorted((ROOT / "src" / "smartauth").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = _scopes(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "hardened":
+                hardened_readers.add(path.stem)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "hex":
+                hex_callers.add(f"{path.stem}.{scopes[node]}")
+    assert hardened_readers == {"protocol"}
+    assert hex_callers == {"channel.Event.render", "cli._text_report", "hashing.Digest.__repr__"}
+
+
 def test_readme_code_names_exist():
     """Each backticked code name in the README's prose is a word of the package or a builtin.
 
@@ -72,7 +104,8 @@ def test_readme_scenario_table_matches_expected_verdicts():
     mismatches = []
     for scenario, *cells in rows:
         for scheme, cell in zip(SCHEMES, cells):
-            verdict, expected = EXPECTED_VERDICTS[(scheme, scenario)]
+            expected = EXPECTED_VERDICTS[(scheme, scenario)]
+            verdict = verdict_class(expected)
             want = verdict if expected in (None, verdict) else f"{verdict}:{expected.value}"
             first_word = cell.split()[0]
             if first_word != want:

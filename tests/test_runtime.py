@@ -1,5 +1,7 @@
 """Identity validation, replay database and snapshots, channel, transcript."""
 
+import dataclasses
+
 import pytest
 
 from smartauth import (
@@ -309,8 +311,8 @@ def test_tampered_receive_shows_the_flipped_field():
     message = _sample_message()
     channel.transmit("client", "server", message)
     send, receive = _send_and_receive(transcript)
-    flipped = flip_bit(bytes(message.checksum), 9).hex()
-    assert dict(send.fields)["checksum"] == message.checksum.hex()
+    flipped = flip_bit(bytes(message.checksum), 9)
+    assert dict(send.fields)["checksum"] == message.checksum
     assert receive.fields == tuple(
         (name, flipped if name == "checksum" else value) for name, value in send.fields
     )
@@ -358,7 +360,7 @@ def test_tamper_message_handles_bytes_fields():
 
 def test_event_render_is_stable():
     transcript = Transcript()
-    transcript.add("client", "send", (("b_field", "0a"), ("a_field", "ff")))
+    transcript.add("client", "send", (("b_field", b"\x0a"), ("a_field", b"\xff")))
     transcript.add("server", "verify", verdict="checksum:ok")
     assert transcript.render() == (
         "step=0 actor=client kind=send a_field=ff b_field=0a verdict=-\n"
@@ -377,6 +379,12 @@ def test_transcript_rejects_unknown_kind():
 
 
 def test_message_fields_hex_and_sorted():
-    fields = message_fields(_sample_message())
-    assert [name for name, _ in fields] == sorted(name for name, _ in fields)
-    assert ("user_id", b"alice".hex()) in fields
+    # The message's own values in declaration order; the transcript sorts them
+    # by name, and rendering writes each one as hex.
+    message = _sample_message()
+    fields = message_fields(message)
+    assert fields == tuple((f.name, getattr(message, f.name)) for f in dataclasses.fields(message))
+    assert ("user_id", b"alice") in fields
+    event = Transcript().add("client", "send", fields)
+    assert [name for name, _ in event.fields] == sorted(name for name, _ in fields)
+    assert f" user_id={b'alice'.hex()} " in event.render()

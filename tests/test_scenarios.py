@@ -10,6 +10,8 @@ from smartauth import (
     SCHEMES,
     Reason,
     ScenarioResult,
+    baseline,
+    improved,
     matches_expected,
     measure_costs,
     run_scenario,
@@ -200,7 +202,7 @@ def test_stale_replay_through_the_runner_lists_only_the_server_key(scheme):
     assert result.client_key is None and result.server_key is not None
     final = transcript.final
     assert (final.actor, final.kind, final.verdict) == ("run", "accept", "accept")
-    assert final.fields == (("server_key", result.server_key.hex()),)
+    assert final.fields == (("server_key", result.server_key),)
     report = _text_report(0, result, transcript).splitlines()
     assert [line for line in report if "session key" in line] == [
         f"server session key: {result.server_key.hex()}"
@@ -294,3 +296,34 @@ def test_measure_costs_phases_and_storage(width):
     assert report.hash_delta == 2
     assert report.card_digests == {"baseline": 3, "improved": 4}
     assert report.storage_delta_digests == 1
+
+
+@pytest.mark.parametrize("width", [32, 1, 2])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_measure_costs_phases_add_up_to_the_runner_counts(scheme, width):
+    # measure_costs drives the three phases itself; the runner counts one honest
+    # exchange per side, through the channel and the probes.
+    phases = measure_costs(width).phases[scheme]
+    _, result = run_scenario(scheme, "hash-count", 0, width)
+    client = phases["login (client)"] + phases["authentication (client)"]
+    assert client == result.hash_counts["client"]
+    assert phases["authentication (server)"] == result.hash_counts["server"]
+
+
+def test_every_scheme_call_goes_through_the_module_attributes(monkeypatch):
+    # perfbench/spans.py traces a scheme function by rebinding the module
+    # attribute, so a runner call that bypassed it would go untraced.
+    calls = {}
+    for module in (baseline, improved):
+        for name in ("register", "login", "authenticate", "verify_server", "change_password"):
+            span = f"{module.__name__.rpartition('.')[2]}.{name}"
+            calls[span] = 0
+
+            def counted(*args, _span=span, _original=getattr(module, name), **kwargs):
+                calls[_span] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    for scheme, scenario in ALL_COMBOS:
+        run_scenario(scheme, scenario, 0)
+    assert [span for span, count in calls.items() if count == 0] == []
