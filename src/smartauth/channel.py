@@ -9,8 +9,7 @@ message on demand.  Every adversary action lands in the transcript.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields, replace
-from functools import cache
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 EVENT_KINDS = (
@@ -39,14 +38,10 @@ class Event(NamedTuple):
         return f"step={step} actor={actor} kind={kind}{pairs} verdict={verdict or '-'}"
 
 
-@cache
-def _field_names(message_type: type) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclass_fields(message_type))
-
-
 def message_fields(message: object) -> tuple[tuple[str, bytes], ...]:
-    """A wire message's dataclass field values, in declaration order."""
-    return tuple((name, getattr(message, name)) for name in _field_names(type(message)))
+    """A wire message's field values, in declaration order: a frozen
+    dataclass's ``__init__`` sets exactly its fields, in that order."""
+    return tuple(vars(message).items())
 
 
 class Transcript:

@@ -113,15 +113,12 @@ def extract_identity_key(card) -> Digest:
     return card.sealed_key ^ card.verifier
 
 
-@dataclass(frozen=True)
 class Scheme:
     """One scheme: whether it is hardened, and the card and wire types that follow."""
 
-    hardened: bool
-
-    def __post_init__(self) -> None:
-        for name, cls in zip(("card", "login_message", "auth_response"), _TYPES[self.hardened]):
-            object.__setattr__(self, name, cls)
+    def __init__(self, hardened: bool) -> None:
+        self.hardened = hardened
+        self.card, self.login_message, self.auth_response = _TYPES[hardened]
 
     def _seal(self, identity_key: Digest, verifier: Digest) -> dict[str, Digest]:
         """The card fields that seal the identity key under a password verifier."""

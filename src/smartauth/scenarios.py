@@ -5,7 +5,7 @@ one integer seed, drives the chosen scheme through the adversarial
 channel, and returns a transcript plus a summary result.  The same
 (scheme, scenario, seed, digest width) always yields a byte-identical
 transcript.  A scenario's script returns the keys it derived: the client
-key (``None`` when no client derived one) and the server session.  The
+key and the server key, each ``None`` when that side derived none.  The
 first rejection a script does not catch ends the run and is its reason;
 ``_run`` is the one place that turns a rejection into an outcome.
 """
@@ -128,8 +128,8 @@ class _Env:
         return secret
 
 
-def _login_exchange(env: _Env, password: bytes) -> tuple[Digest, object]:
-    """One full login through the channel; returns the client key and server session."""
+def _login_exchange(env: _Env, password: bytes) -> tuple[Digest, Digest]:
+    """One full login through the channel; returns the client key and the server key."""
     mod = env.mod
     message, client_session = mod.login(
         env.client_hasher,
@@ -155,10 +155,10 @@ def _login_exchange(env: _Env, password: bytes) -> tuple[Digest, object]:
         probe=env.probe("client"),
     )
     env.transcript.add("client", "key-derived", (("session_key", client_key),))
-    return client_key, server_session
+    return client_key, server_session.session_key
 
 
-def _replay_to_server(env: _Env, index: int) -> tuple[None, object]:
+def _replay_to_server(env: _Env, index: int) -> tuple[None, Digest]:
     """Adversary resends a captured login message to the server."""
     message = env.channel.replay(index, "server")
     _, server_session = env.mod.authenticate(
@@ -166,7 +166,7 @@ def _replay_to_server(env: _Env, index: int) -> tuple[None, object]:
     )
     # A stale replay, of a login older than the user's last one, passes the
     # freshness check: the server derives a key that no client holds.
-    return None, server_session
+    return None, server_session.session_key
 
 
 def _change_password(env: _Env, old_password: bytes, new_password: bytes) -> None:
@@ -191,16 +191,16 @@ def _change_password(env: _Env, old_password: bytes, new_password: bytes) -> Non
 
 def _run(env: _Env, script) -> tuple[Transcript, ScenarioResult]:
     """Run a script, then summarise it and write the final event listing the keys that exist."""
-    reason = client_key = server_session = None
+    reason = client_key = server_key = None
     try:
-        client_key, server_session = script(env)
+        client_key, server_key = script(env)
     except Rejected as exc:
         reason = exc.reason
     keys = {}
     if client_key is not None:
         keys["client_key"] = client_key
-    if server_session is not None:
-        keys["server_key"] = server_session.session_key
+    if server_key is not None:
+        keys["server_key"] = server_key
     result = ScenarioResult(
         scheme=env.scheme,
         scenario=env.scenario,
@@ -219,15 +219,15 @@ def _run(env: _Env, script) -> tuple[Transcript, ScenarioResult]:
     return env.transcript, result
 
 
-def _scn_honest(env: _Env) -> tuple[Digest | None, object]:
+def _scn_honest(env: _Env) -> tuple[Digest | None, Digest | None]:
     return _login_exchange(env, env.password)
 
 
-def _scn_wrong_password(env: _Env) -> tuple[Digest | None, object]:
+def _scn_wrong_password(env: _Env) -> tuple[Digest | None, Digest | None]:
     return _login_exchange(env, env.wrong_password)
 
 
-def _scn_wrong_password_change(env: _Env) -> tuple[Digest | None, object]:
+def _scn_wrong_password_change(env: _Env) -> tuple[Digest | None, Digest | None]:
     try:
         _change_password(env, env.wrong_password, env.new_password)
     except Rejected:
@@ -240,12 +240,12 @@ def _scn_wrong_password_change(env: _Env) -> tuple[Digest | None, object]:
     return _login_exchange(env, env.password)
 
 
-def _scn_correct_password_change(env: _Env) -> tuple[Digest | None, object]:
+def _scn_correct_password_change(env: _Env) -> tuple[Digest | None, Digest | None]:
     _change_password(env, env.password, env.new_password)
     return _login_exchange(env, env.new_password)
 
 
-def _scn_replay(env: _Env) -> tuple[Digest | None, object]:
+def _scn_replay(env: _Env) -> tuple[Digest | None, Digest | None]:
     _login_exchange(env, env.password)
     # Captured message 0 is the login request; resend it verbatim.
     return _replay_to_server(env, 0)
@@ -261,38 +261,40 @@ def _tamper_targets(env: _Env) -> list[tuple[str, int]]:
     ]
 
 
-def _scn_tamper(env: _Env) -> tuple[Digest | None, object]:
+def _scn_tamper(env: _Env) -> tuple[Digest | None, Digest | None]:
     field, nbits = env.master.choice(_tamper_targets(env))
     env.channel.policy = Tamper(field, env.master.randrange(nbits))
     return _login_exchange(env, env.password)
 
 
-def _scn_stolen_card(env: _Env) -> tuple[Digest | None, object]:
-    # The thief reads what the card holds: a verifier only where the card stores one.
+def _scn_stolen_card(env: _Env) -> tuple[Digest | None, Digest | None]:
+    # The thief reads what the card holds: a verifier only where the card
+    # stores one, and a password change keeps the card's fields.
+    stores_verifier = hasattr(env.card, "verifier")
     breach = [("sealed_key", env.card.sealed_key)]
-    if hasattr(env.card, "verifier"):
+    if stores_verifier:
         breach.append(("verifier", env.card.verifier))
     env.transcript.add("adversary", "adversary-action", tuple(breach), verdict="card-breach")
     # The real identity key; uncounted, so no hash count moves.
     truth = env.server_hasher.hash_uncounted(env.user_id, env.server.master_secret)
-    _record_extraction(env, truth)
-    _change_password(env, env.password, env.new_password)
-    _record_extraction(env, truth)
-    return _login_exchange(env, env.new_password)
 
-
-def _record_extraction(env: _Env, truth: Digest) -> None:
-    if hasattr(env.card, "verifier"):
+    def record_extraction() -> None:
+        if not stores_verifier:
+            env.transcript.add(
+                "adversary", "adversary-action", verdict="identity-key-extraction:unavailable"
+            )
+            return
         extracted = extract_identity_key(env.card)
         verdict = "identity-key-extraction:ok" if extracted == truth else "identity-key-extraction:fail"
         env.transcript.add("adversary", "verify", (("identity_key", extracted),), verdict=verdict)
-    else:
-        env.transcript.add(
-            "adversary", "adversary-action", verdict="identity-key-extraction:unavailable"
-        )
+
+    record_extraction()
+    _change_password(env, env.password, env.new_password)
+    record_extraction()
+    return _login_exchange(env, env.new_password)
 
 
-def _scn_hash_count(env: _Env) -> tuple[Digest | None, object]:
+def _scn_hash_count(env: _Env) -> tuple[Digest | None, Digest | None]:
     keys = _login_exchange(env, env.password)
     env.transcript.add(
         "run",
@@ -302,12 +304,11 @@ def _scn_hash_count(env: _Env) -> tuple[Digest | None, object]:
     return keys
 
 
-def _scn_double_login(env: _Env) -> tuple[Digest | None, object]:
-    _, first = _login_exchange(env, env.password)
-    _, second = _login_exchange(env, env.password)
-    nonce1 = first.client_nonce
-    nonce2 = second.client_nonce
-    replaced = nonce1 != nonce2 and env.server.replay_db[env.user_id] == nonce2
+def _scn_double_login(env: _Env) -> tuple[Digest | None, Digest | None]:
+    _login_exchange(env, env.password)
+    first = env.server.replay_db[env.user_id]
+    _login_exchange(env, env.password)
+    replaced = env.server.replay_db[env.user_id] != first
     env.transcript.add(
         "server", "verify", verdict="nonce-replaced:ok" if replaced else "nonce-replaced:fail"
     )
@@ -365,6 +366,9 @@ def run_scenario(
         raise ValueError(f"unknown scheme {scheme!r}")
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
+    if seed < 0:
+        # ``random.Random`` seeds with ``abs(seed)``: -5 would replay seed 5.
+        raise ValueError(f"seed must be non-negative, got {seed}")
     env = _Env(scheme, scenario, seed, digest_size)
     return _run(env, _TABLE[scenario][0])
 
@@ -411,9 +415,5 @@ def measure_costs(digest_size: int = SHA256_SIZE) -> CostReport:
             "authentication (server)": server.count,
             "authentication (client)": confirm.count,
         }
-        card_digests[scheme] = sum(
-            1
-            for f in dataclass_fields(env.card)
-            if isinstance(getattr(env.card, f.name), Digest)
-        )
+        card_digests[scheme] = sum(isinstance(value, Digest) for value in vars(env.card).values())
     return CostReport(phases, card_digests)

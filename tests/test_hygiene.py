@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 from smartauth import cli
+from smartauth.channel import EVENT_KINDS
 from smartauth.scenarios import EXPECTED_VERDICTS, SCENARIOS, SCHEMES, verdict_class
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -111,6 +112,15 @@ def test_readme_scenario_table_matches_expected_verdicts():
             if first_word != want:
                 mismatches.append((scheme, scenario, first_word, want))
     assert mismatches == []
+
+
+def test_readme_event_kinds_are_the_channel_event_kinds():
+    """The README's ``kind`` list under ``## Transcript format`` is ``EVENT_KINDS``, in order."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Transcript format\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.search(r"^`kind` is one of (.*?)\.", section, flags=re.DOTALL | re.MULTILINE)
+    assert listed, "no kind list in the README's transcript format"
+    assert re.findall(r"`([^`]+)`", listed.group(1)) == list(EVENT_KINDS)
 
 
 def test_readme_cost_block_is_the_command_output(capsys):

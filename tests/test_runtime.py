@@ -378,13 +378,17 @@ def test_transcript_rejects_unknown_kind():
         Transcript().add("client", "observe")
 
 
-def test_message_fields_hex_and_sorted():
-    # The message's own values in declaration order; the transcript sorts them
-    # by name, and rendering writes each one as hex.
-    message = _sample_message()
+@pytest.mark.parametrize("scheme", [baseline, improved], ids=["baseline", "improved"])
+@pytest.mark.parametrize("type_name", ["LoginMessage", "AuthResponse"])
+def test_message_fields_hex_and_sorted(type_name, scheme):
+    # The message's own values in declaration order, and nothing else; the
+    # transcript sorts them by name, and rendering writes each one as hex.
+    message_type = getattr(scheme, type_name)
+    declared = dataclasses.fields(message_type)
+    message = message_type(**{f.name: Digest(bytes([i]) * 32) for i, f in enumerate(declared, 1)})
     fields = message_fields(message)
-    assert fields == tuple((f.name, getattr(message, f.name)) for f in dataclasses.fields(message))
-    assert ("user_id", b"alice") in fields
+    assert fields == tuple((f.name, getattr(message, f.name)) for f in declared)
     event = Transcript().add("client", "send", fields)
     assert [name for name, _ in event.fields] == sorted(name for name, _ in fields)
-    assert f" user_id={b'alice'.hex()} " in event.render()
+    rendered = event.render()
+    assert all(f" {name}={value.hex()} " in rendered for name, value in fields)

@@ -278,6 +278,8 @@ def test_unknown_ids_raise():
         run_scenario("improved", "no-such-scenario", 0)
     with pytest.raises(ValueError):
         run_scenario("no-such-scheme", "honest", 0)
+    with pytest.raises(ValueError):
+        run_scenario("improved", "honest", -5)  # would render seed 5's transcript
 
 
 @pytest.mark.parametrize("width", [32, 1, 2])
