@@ -13,9 +13,11 @@ import binascii
 import os
 import re
 import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import BinaryIO
 
 from .hashing import Digest
 
@@ -128,13 +130,26 @@ class SnapshotError(ValueError):
 # ``\xhh`` escape.  The loader accepts a line only if this writer gives it back.
 _ESCAPED = re.compile(rb"[^\x21-\x5b\x5d-\x7e]")
 _ESCAPE_SEQ = re.compile(rb"\\x([0-9a-f]{2})")
+_BACKSLASH = ord("\\")  # an int: ``in`` finds it faster than the one-byte ``b"\\"``
+
+# Save and load hold one batch of lines or one read in memory, never the file.
+_WRITE_LINES = 1024
+_READ_BYTES = 1 << 16
+
+
+def _escape_byte(match: "re.Match[bytes]") -> bytes:
+    return b"\\x%02x" % match[0][0]
+
+
+def _unescape_byte(match: "re.Match[bytes]") -> bytes:
+    return bytes((int(match[1], 16),))
 
 
 def _entry_line(identity: bytes, nonce: bytes) -> bytes:
     """One snapshot line, without its line feed: ``identity<TAB>nonce-hex``."""
     if not nonce:
         raise ValueError("empty nonce")
-    return _ESCAPED.sub(lambda m: b"\\x%02x" % m[0][0], identity) + b"\t" + binascii.hexlify(nonce)
+    return _ESCAPED.sub(_escape_byte, identity) + b"\t" + binascii.hexlify(nonce)
 
 
 def save_replay_db(server: ServerState, path: "str | Path") -> None:
@@ -144,22 +159,54 @@ def save_replay_db(server: ServerState, path: "str | Path") -> None:
     lines it writes.  A database it could not reload (an empty nonce, or
     nonces of more than one width) raises ``ValueError`` before any file
     is created.  The text goes to a private temporary file (mode 0600) in
-    the same directory, which then replaces ``path`` in one step: a reader
-    sees the old snapshot or the new one, never a partial file.
+    the same directory, ``_WRITE_LINES`` lines per write, so memory beyond
+    the map stays bounded; that file then replaces ``path`` in one step: a
+    reader sees the old snapshot or the new one, never a partial file.
     """
     path = Path(path)
     db = server.replay_db
-    if len({len(nonce) for nonce in db.values()}) > 1:
+    widths = {len(nonce) for nonce in db.values()}
+    if len(widths) > 1:
         raise ValueError("inconsistent nonce width")
-    lines = [_entry_line(user_id, db[user_id]) for user_id in sorted(db)]
+    if 0 in widths:
+        raise ValueError("empty nonce")
+    identities = sorted(db)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with open(fd, "wb") as fh:
-            fh.write(b"\n".join([SNAPSHOT_HEADER.encode(), *lines, b""]))
+            fh.write(SNAPSHOT_HEADER.encode() + b"\n")
+            for start in range(0, len(identities), _WRITE_LINES):
+                batch = identities[start : start + _WRITE_LINES]
+                fh.write(b"\n".join([_entry_line(user_id, db[user_id]) for user_id in batch]))
+                fh.write(b"\n")
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _read_lines(fh: BinaryIO) -> Iterator[bytes]:
+    """Yield the lines of ``fh`` without their line feeds, one read at a time.
+
+    A line that spans reads is kept as a list of pieces and joined once.  A
+    last line without its line feed is yielded like any other; asking for
+    the next line after it raises ``SnapshotError`` naming it.
+    """
+    pieces: list[bytes] = []
+    count = 0
+    while chunk := fh.read(_READ_BYTES):
+        *lines, end = chunk.split(b"\n")
+        if lines:
+            pieces.append(lines[0])
+            lines[0] = b"".join(pieces)
+            pieces.clear()
+            count += len(lines)
+            yield from lines
+        pieces.append(end)
+    tail = b"".join(pieces)
+    if tail:
+        yield tail
+        raise SnapshotError(count + 1, "missing final newline")
 
 
 def load_replay_db(path: "str | Path") -> dict[bytes, Digest]:
@@ -170,35 +217,33 @@ def load_replay_db(path: "str | Path") -> dict[bytes, Digest]:
     nonce has the first entry's width and its identity follows the
     previous one in strictly ascending byte order.  Otherwise the first
     line that breaks a rule, a last line without its line feed included,
-    raises ``SnapshotError`` naming it.
+    raises ``SnapshotError`` naming it.  The file is read and checked
+    ``_READ_BYTES`` at a time, so memory beyond the map stays bounded.
     """
-    *lines, tail = Path(path).read_bytes().split(b"\n")
-    if tail:
-        lines.append(tail)
-    if not lines or lines[0] != SNAPSHOT_HEADER.encode():
-        raise SnapshotError(1, f"expected header {SNAPSHOT_HEADER!r}")
     entries: dict[bytes, Digest] = {}
     width: int | None = None
     previous: bytes | None = None
-    for line_no, line in enumerate(lines[1:], start=2):
-        id_text, _, hex_text = line.partition(b"\t")
-        user_id = _ESCAPE_SEQ.sub(lambda m: bytes((int(m[1], 16),)), id_text)
-        try:
-            raw = binascii.unhexlify(hex_text)
-            canonical = _entry_line(user_id, raw) == line
-        except ValueError as exc:
-            raise SnapshotError(line_no, f"bad nonce: {exc}") from None
-        if not canonical:
-            raise SnapshotError(line_no, "not in the canonical form save_replay_db writes")
-        if width is None:
-            width = len(raw)
-        elif len(raw) != width:
-            raise SnapshotError(line_no, "inconsistent nonce width")
-        # Ascending order is what the writer produces; it also rules out duplicates.
-        if previous is not None and user_id <= previous:
-            raise SnapshotError(line_no, "identity repeated or out of ascending order")
-        previous = user_id
-        entries[user_id] = Digest(raw)
-    if tail:
-        raise SnapshotError(len(lines), "missing final newline")
+    with open(path, "rb") as fh:
+        lines = _read_lines(fh)
+        if next(lines, None) != SNAPSHOT_HEADER.encode():
+            raise SnapshotError(1, f"expected header {SNAPSHOT_HEADER!r}")
+        for line_no, line in enumerate(lines, start=2):
+            id_text, _, hex_text = line.partition(b"\t")
+            user_id = _ESCAPE_SEQ.sub(_unescape_byte, id_text) if _BACKSLASH in id_text else id_text
+            try:
+                raw = binascii.unhexlify(hex_text)
+                canonical = _entry_line(user_id, raw) == line
+            except ValueError as exc:
+                raise SnapshotError(line_no, f"bad nonce: {exc}") from None
+            if not canonical:
+                raise SnapshotError(line_no, "not in the canonical form save_replay_db writes")
+            if width is None:
+                width = len(raw)
+            elif len(raw) != width:
+                raise SnapshotError(line_no, "inconsistent nonce width")
+            # Ascending order is what the writer produces; it also rules out duplicates.
+            if previous is not None and user_id <= previous:
+                raise SnapshotError(line_no, "identity repeated or out of ascending order")
+            previous = user_id
+            entries[user_id] = Digest(raw)
     return entries

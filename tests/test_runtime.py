@@ -1,6 +1,9 @@
 """Identity validation, replay database and snapshots, channel, transcript."""
 
+import binascii
 import dataclasses
+import re
+import tracemalloc
 
 import pytest
 
@@ -226,9 +229,14 @@ def test_snapshot_save_replaces_the_file_in_one_step(tmp_path, monkeypatch):
     ],
     ids=["mixed-widths", "empty-nonce"],
 )
-def test_snapshot_save_refuses_a_db_it_could_not_reload(tmp_path, db):
+def test_snapshot_save_refuses_a_db_it_could_not_reload(tmp_path, monkeypatch, db):
     path = tmp_path / "db.snapshot"
     path.write_bytes(b"previous snapshot\n")
+
+    def no_temp_file(*args, **kwargs):
+        raise AssertionError("a temporary file was created before the refusal")
+
+    monkeypatch.setattr(runtime.tempfile, "mkstemp", no_temp_file)
     with pytest.raises(ValueError):
         save_replay_db(_server(db), path)
     assert path.read_bytes() == b"previous snapshot\n"
@@ -255,6 +263,120 @@ def test_snapshot_duplicate_reported_at_second_occurrence(tmp_path):
         load_replay_db(path)
     assert err.value.line_no == 4
 
+
+_HEADER = b"smartauth-replaydb v1\n"
+
+
+def _whole_file_load(data: bytes) -> dict:
+    # The whole-file parse the chunked reader replaced.
+    *lines, tail = data.split(b"\n")
+    if tail:
+        lines.append(tail)
+    if not lines or lines[0] != _HEADER[:-1]:
+        raise SnapshotError(1, "expected header 'smartauth-replaydb v1'")
+    entries = {}
+    width = previous = None
+    for line_no, line in enumerate(lines[1:], start=2):
+        id_text, _, hex_text = line.partition(b"\t")
+        user_id = re.sub(rb"\\x([0-9a-f]{2})", lambda m: bytes((int(m[1], 16),)), id_text)
+        try:
+            raw = binascii.unhexlify(hex_text)
+            canonical = runtime._entry_line(user_id, raw) == line
+        except ValueError as exc:
+            raise SnapshotError(line_no, f"bad nonce: {exc}") from None
+        if not canonical:
+            raise SnapshotError(line_no, "not in the canonical form save_replay_db writes")
+        if width is None:
+            width = len(raw)
+        elif len(raw) != width:
+            raise SnapshotError(line_no, "inconsistent nonce width")
+        if previous is not None and user_id <= previous:
+            raise SnapshotError(line_no, "identity repeated or out of ascending order")
+        previous = user_id
+        entries[user_id] = Digest(raw)
+    if tail:
+        raise SnapshotError(len(lines), "missing final newline")
+    return entries
+
+
+def _load_outcome(load, source):
+    """The loaded map, or the error's line number and message."""
+    try:
+        return load(source)
+    except SnapshotError as err:
+        return err.line_no, str(err)
+
+
+_BOUNDARY_CASES = [
+    b"",
+    _HEADER[:-1],
+    _HEADER[:-2],
+    _HEADER,
+    b"smartauth-replaydb v2\n",
+    _HEADER + b"a\\x5cb\t0011\nc\\x20d\t2233\n",
+    _HEADER + b"a\\x5cb\t0011\nc\\x20d\t2233",
+    _HEADER + b"a\\x5Cb\t0011\nc\t2233",
+    _HEADER + b"a\t0011\nb\\x41\t2233",
+    _HEADER + b"a\\x41\t0011\n",
+    _HEADER + b"a\\x4\t0011\n",
+    _HEADER + b"a\t0011\r\n",
+    _HEADER + b"\n",
+    _HEADER + b"a\t\n",
+    _HEADER + b"a\t00\t11\n",
+    _HEADER + b"a\t0011\nb\t223344\n",
+    _HEADER + b"b\t0011\na\t2233\n",
+]
+
+
+@pytest.mark.parametrize("read_bytes", [1, 2, 3, 5, 7])
+def test_snapshot_chunked_load_matches_the_whole_file_parse(tmp_path, monkeypatch, read_bytes):
+    # Reads this small put a boundary inside the header, a \xhh escape, the
+    # tab, the nonce and just before the final line feed.
+    monkeypatch.setattr(runtime, "_READ_BYTES", read_bytes)
+    path = tmp_path / "db.snapshot"
+    for data in _BOUNDARY_CASES:
+        path.write_bytes(data)
+        assert _load_outcome(load_replay_db, path) == _load_outcome(_whole_file_load, data), data
+
+
+def test_snapshot_line_spanning_many_reads(tmp_path, monkeypatch):
+    monkeypatch.setattr(runtime, "_READ_BYTES", 4093)
+    long_id = b"x" * (4 << 20)
+    path = tmp_path / "db.snapshot"
+    for data in (
+        _HEADER + b"a\t0011\n" + long_id + b"\t2233\n",
+        _HEADER + b"a\t0011\n" + long_id + b"\\x41\t2233\n",
+        _HEADER + b"a\t0011\n" + long_id + b"\t2233",
+    ):
+        path.write_bytes(data)
+        assert _load_outcome(load_replay_db, path) == _load_outcome(_whole_file_load, data)
+
+
+def test_snapshot_save_and_load_hold_less_than_half_the_file(tmp_path):
+    db = {
+        b"user-%05d%s" % (i, b"\\ " if i % 10 == 0 else b""): Digest(i.to_bytes(32, "big"))
+        for i in range(20_000)
+    }
+    server = _server(db)
+    path = tmp_path / "db.snapshot"
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        save_replay_db(server, path)
+        save_peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        loaded = load_replay_db(path)
+        after, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert loaded == db
+    size = path.stat().st_size
+    assert save_peak < size / 2
+    assert load_peak - after < size / 2  # above the map the load returns
 
 # --- channel ------------------------------------------------------------
 
