@@ -220,7 +220,3 @@ def main(argv: list[str] | None = None) -> int:
     # Resolved even when ``diff --seeds`` makes the seed unused, so a bad
     # SMARTAUTH_SEED is always an error.
     return args.func(args, _resolve_seed(args.seed), HASH_CHOICES[args.hash])
-
-
-if __name__ == "__main__":
-    sys.exit(main())

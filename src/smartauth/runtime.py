@@ -13,11 +13,9 @@ import binascii
 import os
 import re
 import tempfile
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO
 
 from .hashing import Digest
 
@@ -132,7 +130,7 @@ _ESCAPED = re.compile(rb"[^\x21-\x5b\x5d-\x7e]")
 _ESCAPE_SEQ = re.compile(rb"\\x([0-9a-f]{2})")
 _BACKSLASH = ord("\\")  # an int: ``in`` finds it faster than the one-byte ``b"\\"``
 
-# Save and load hold one batch of lines or one read in memory, never the file.
+# Save and load hold one batch of lines or one buffer in memory, never the file.
 _WRITE_LINES = 1024
 _READ_BYTES = 1 << 16
 
@@ -185,30 +183,6 @@ def save_replay_db(server: ServerState, path: "str | Path") -> None:
         raise
 
 
-def _read_lines(fh: BinaryIO) -> Iterator[bytes]:
-    """Yield the lines of ``fh`` without their line feeds, one read at a time.
-
-    A line that spans reads is kept as a list of pieces and joined once.  A
-    last line without its line feed is yielded like any other; asking for
-    the next line after it raises ``SnapshotError`` naming it.
-    """
-    pieces: list[bytes] = []
-    count = 0
-    while chunk := fh.read(_READ_BYTES):
-        *lines, end = chunk.split(b"\n")
-        if lines:
-            pieces.append(lines[0])
-            lines[0] = b"".join(pieces)
-            pieces.clear()
-            count += len(lines)
-            yield from lines
-        pieces.append(end)
-    tail = b"".join(pieces)
-    if tail:
-        yield tail
-        raise SnapshotError(count + 1, "missing final newline")
-
-
 def load_replay_db(path: "str | Path") -> dict[bytes, Digest]:
     """Parse a snapshot back into a replay map; strict, with line numbers.
 
@@ -217,22 +191,25 @@ def load_replay_db(path: "str | Path") -> dict[bytes, Digest]:
     nonce has the first entry's width and its identity follows the
     previous one in strictly ascending byte order.  Otherwise the first
     line that breaks a rule, a last line without its line feed included,
-    raises ``SnapshotError`` naming it.  The file is read and checked
-    ``_READ_BYTES`` at a time, so memory beyond the map stays bounded.
+    raises ``SnapshotError`` naming it.  The file's own line iteration
+    reads it through one ``_READ_BYTES`` buffer and each line is checked
+    as it comes, so memory beyond the map stays bounded.
     """
     entries: dict[bytes, Digest] = {}
     width: int | None = None
     previous: bytes | None = None
-    with open(path, "rb") as fh:
-        lines = _read_lines(fh)
-        if next(lines, None) != SNAPSHOT_HEADER.encode():
+    with open(path, "rb", buffering=_READ_BYTES) as fh:
+        line = next(fh, b"")
+        if line.rstrip(b"\n") != SNAPSHOT_HEADER.encode():
             raise SnapshotError(1, f"expected header {SNAPSHOT_HEADER!r}")
-        for line_no, line in enumerate(lines, start=2):
-            id_text, _, hex_text = line.partition(b"\t")
+        line_no = 1
+        for line_no, line in enumerate(fh, start=2):
+            entry = line.rstrip(b"\n")
+            id_text, _, hex_text = entry.partition(b"\t")
             user_id = _ESCAPE_SEQ.sub(_unescape_byte, id_text) if _BACKSLASH in id_text else id_text
             try:
                 raw = binascii.unhexlify(hex_text)
-                canonical = _entry_line(user_id, raw) == line
+                canonical = _entry_line(user_id, raw) == entry
             except ValueError as exc:
                 raise SnapshotError(line_no, f"bad nonce: {exc}") from None
             if not canonical:
@@ -246,4 +223,7 @@ def load_replay_db(path: "str | Path") -> dict[bytes, Digest]:
                 raise SnapshotError(line_no, "identity repeated or out of ascending order")
             previous = user_id
             entries[user_id] = Digest(raw)
+    # Checked after the last line itself, so a malformed last line is the one reported.
+    if not line.endswith(b"\n"):
+        raise SnapshotError(line_no, "missing final newline")
     return entries

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from smartauth import Digest, DigestRng, Reason, Rejected, baseline
+from smartauth import Digest, DigestRng, Reason, Rejected, baseline, improved
 from smartauth.channel import tamper_message
 
 from support import FixedRng, exchange, make_setup, raw_hash, xor_bytes
@@ -37,6 +37,15 @@ def test_register_rejects_malformed_inputs():
         baseline.register(s.hasher, s.rc, b"ok", b"p" * 65, b"bio", s.rng)
     with pytest.raises(ValueError):
         baseline.register(s.hasher, s.rc, b"ok", b"pw", b"", s.rng)
+
+
+@pytest.mark.parametrize("mod", [baseline, improved], ids=["baseline", "improved"])
+@pytest.mark.parametrize("length", [1, 64])
+def test_register_and_login_accept_the_shortest_and_longest_password(mod, length):
+    s = replace(make_setup(mod), password=b"p" * length)
+    s.card = mod.register(s.hasher, s.rc, s.user_id, s.password, s.biometric, s.rng)
+    client_key, server_session, _ = exchange(mod, s)
+    assert client_key == server_session.session_key
 
 
 def test_register_with_different_rng_seeds_differs():

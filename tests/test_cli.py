@@ -104,6 +104,14 @@ def test_unwritable_out_fails_before_the_first_trial(tmp_path, monkeypatch, caps
 
 LAST_SEED = 2**64 - 1
 
+# The whole usage message for each command's first seed range past the last seed.
+_PAST_THE_LAST = {
+    "run": f"seeds {LAST_SEED}..{LAST_SEED + 1} pass 2**64-1; "
+    f"the largest base seed for 2 seeds is {LAST_SEED - 1}",
+    "diff": f"seeds {LAST_SEED - 8}..{LAST_SEED + 1} pass 2**64-1; "
+    f"the largest base seed for 10 seeds is {LAST_SEED - 9}",
+}
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -119,7 +127,14 @@ def test_seeds_past_the_last_are_a_usage_error(capsys, argv):
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: seeds ")
+    assert captured.err == f"error: {_PAST_THE_LAST[argv[0]]}\n"
+
+
+def test_run_exits_1_on_a_mismatch(capsys):
+    # At width 1, seed 60's wrong password collides with the verifier and is accepted.
+    code, out = run_cli(capsys, "run", "--hash", "toy8", "--scenario", "wrong-password", "--seed", "60")
+    assert code == 1
+    assert "matched: 0/1" in out
 
 
 def test_largest_base_seeds_that_fit_run(capsys):

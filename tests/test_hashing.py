@@ -12,6 +12,7 @@ from support import raw_hash, xor_bytes
 
 def test_frame_single_part():
     assert encode_parts([b"A"]) == b"\x00\x00\x00\x01A"
+    assert encode_parts([b"x" * 300]) == (300).to_bytes(4, "big") + b"x" * 300
 
 
 def test_frame_empty_and_multi_part():

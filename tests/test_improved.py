@@ -2,7 +2,7 @@
 independent equation-by-equation oracle."""
 
 import random
-from dataclasses import fields as dataclass_fields
+from dataclasses import fields as dataclass_fields, replace
 
 import pytest
 
@@ -229,6 +229,14 @@ def test_every_wire_field_tamper_rejected():
             bad = tamper_message(response, field, rnd.randrange(256))
             with pytest.raises(Rejected):
                 improved.verify_server(s.hasher, client_session, s.card, bad, s.server_id)
+
+
+def test_biometric_longer_than_255_bytes_registers_and_logs_in():
+    # register hashes the sample whole, so it is framed with the long length prefix.
+    s = replace(make_setup(improved, seed=27), biometric=b"b" * 300)
+    s.card = improved.register(s.hasher, s.rc, s.user_id, s.password, s.biometric, s.rng)
+    client_key, server_session, _ = exchange(improved, s)
+    assert client_key == server_session.session_key
 
 
 def test_change_password_wrong_old_leaves_card_byte_identical():

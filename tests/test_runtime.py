@@ -268,7 +268,7 @@ _HEADER = b"smartauth-replaydb v1\n"
 
 
 def _whole_file_load(data: bytes) -> dict:
-    # The whole-file parse the chunked reader replaced.
+    # The whole-file parse the buffered loader replaced.
     *lines, tail = data.split(b"\n")
     if tail:
         lines.append(tail)
@@ -328,10 +328,11 @@ _BOUNDARY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("read_bytes", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("read_bytes", [2, 3, 5, 7])
 def test_snapshot_chunked_load_matches_the_whole_file_parse(tmp_path, monkeypatch, read_bytes):
-    # Reads this small put a boundary inside the header, a \xhh escape, the
-    # tab, the nonce and just before the final line feed.
+    # Buffers this small put a boundary inside the header, a \xhh escape, the
+    # tab, the nonce and just before the final line feed.  A buffer size of 1
+    # asks binary ``open`` for line buffering, which it warns it does not do.
     monkeypatch.setattr(runtime, "_READ_BYTES", read_bytes)
     path = tmp_path / "db.snapshot"
     for data in _BOUNDARY_CASES:
