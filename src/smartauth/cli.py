@@ -66,10 +66,10 @@ def _resolve_seed(value: int | None) -> int:
 def _seed_range(seed: int, count: int) -> range:
     """The ``count`` seeds from ``seed`` on, each one that ``--seed`` accepts."""
     if seed + count > _SEED_LIMIT:
-        _usage_error(
-            f"seeds {seed}..{seed + count - 1} pass 2**64-1; "
-            f"the largest base seed for {count} seeds is {_SEED_LIMIT - count}"
-        )
+        fit = f"the largest base seed for {count} seeds is {_SEED_LIMIT - count}"
+        if count > _SEED_LIMIT:
+            fit = f"no base seed fits {count} seeds"
+        _usage_error(f"seeds {seed}..{seed + count - 1} pass 2**64-1; {fit}")
     return range(seed, seed + count)
 
 
@@ -133,7 +133,9 @@ def cmd_run(args, seed: int, digest_size: int) -> int:
 
 
 def cmd_diff(args, seed: int, digest_size: int) -> int:
-    seeds = args.seeds if args.seeds else _seed_range(seed, 10)
+    if args.seeds and args.seed is not None:
+        _usage_error("--seed and --seeds cannot be combined")
+    seeds = args.seeds or _seed_range(seed, 10)
     all_ok = True
     for scenario in SCENARIOS:
         expect_diverge = scenario in DIVERGING_SCENARIOS
@@ -206,7 +208,7 @@ def _parser() -> argparse.ArgumentParser:
     diff_p = sub.add_parser("diff", parents=[common],
                             help="run every scenario under both schemes and compare")
     diff_p.add_argument("--seeds", type=_seed_type, nargs="+", default=None,
-                        help="seeds to compare (default: 10 seeds from the base seed)")
+                        help="seeds to compare; excludes --seed (default: 10 from the base seed)")
     diff_p.set_defaults(func=cmd_diff)
 
     cost_p = sub.add_parser("cost", parents=[common],

@@ -43,7 +43,8 @@ class ScenarioResult:
     A session key is present only when accepted, and only for a side that
     derived one.  ``messages_sent`` counts every message placed on the
     wire, adversary replays included.  ``hash_counts`` are the per-side
-    hash invocations after registration (the biometric gate is uncounted).
+    hash invocations after registration (the biometric gate is uncounted);
+    ``client`` is the card's count plus the client's.
     """
 
     scheme: str
@@ -97,8 +98,9 @@ class _Env:
             server_id=b"srv-" + bytes(self.master.choices(ID_ALPHABET, k=8)),
         )
         self.rng = DigestRng(self.master.getrandbits(64), digest_size)
-        self.client_hasher = Hasher(digest_size)
+        self.card_hasher = Hasher(digest_size)  # one per actor the probes name
         self.server_hasher = Hasher(digest_size)
+        self.client_hasher = Hasher(digest_size)
         self.transcript = Transcript()
         self.channel = AdversarialChannel(self.transcript)
         # Registration happens over a secure channel the adversary never
@@ -132,7 +134,7 @@ def _login_exchange(env: _Env, password: bytes) -> tuple[Digest, Digest]:
     """One full login through the channel; returns the client key and the server key."""
     mod = env.mod
     message, client_session = mod.login(
-        env.client_hasher,
+        env.card_hasher,
         env.card,
         env.user_id,
         password,
@@ -173,7 +175,7 @@ def _change_password(env: _Env, old_password: bytes, new_password: bytes) -> Non
     """Attempt a password change on the card; a refusal is recorded, then re-raised."""
     try:
         env.card = env.mod.change_password(
-            env.client_hasher,
+            env.card_hasher,
             env.card,
             env.biometric,
             old_password,
@@ -187,6 +189,12 @@ def _change_password(env: _Env, old_password: bytes, new_password: bytes) -> Non
         # pins the property itself against a card re-registered from the seed.
         env.transcript.add("card", "verify", verdict="card-unchanged:ok")
         raise
+
+
+def _side_counts(env: _Env) -> dict[str, int]:
+    """Hash calls per side: the card's and the client's make up the ``client`` side."""
+    client = env.card_hasher.count + env.client_hasher.count
+    return {"client": client, "server": env.server_hasher.count}
 
 
 def _run(env: _Env, script) -> tuple[Transcript, ScenarioResult]:
@@ -207,7 +215,7 @@ def _run(env: _Env, script) -> tuple[Transcript, ScenarioResult]:
         seed=env.seed,
         reason=reason,
         messages_sent=env.channel.sent,
-        hash_counts={"client": env.client_hasher.count, "server": env.server_hasher.count},
+        hash_counts=_side_counts(env),
         **keys,
     )
     env.transcript.add(
@@ -296,11 +304,8 @@ def _scn_stolen_card(env: _Env) -> tuple[Digest | None, Digest | None]:
 
 def _scn_hash_count(env: _Env) -> tuple[Digest | None, Digest | None]:
     keys = _login_exchange(env, env.password)
-    env.transcript.add(
-        "run",
-        "verify",
-        verdict=f"hash-count:client={env.client_hasher.count}:server={env.server_hasher.count}",
-    )
+    verdict = "hash-count:client={client}:server={server}".format(**_side_counts(env))
+    env.transcript.add("run", "verify", verdict=verdict)
     return keys
 
 
@@ -399,21 +404,16 @@ class CostReport:
 
 
 def measure_costs(digest_size: int = SHA256_SIZE) -> CostReport:
-    """One hasher per phase of one honest exchange per scheme; no count depends on the seed."""
+    """Each actor's hash count in the runner's honest exchange, per scheme; seed-independent."""
     phases: dict[str, dict[str, int]] = {}
     card_digests: dict[str, int] = {}
     for scheme in SCHEMES:
         env = _Env(scheme, "hash-count", 0, digest_size)
-        login, server, confirm = (Hasher(digest_size) for _ in range(3))
-        message, session = env.mod.login(
-            login, env.card, env.user_id, env.password, env.biometric, env.rng
-        )
-        response, _ = env.mod.authenticate(server, env.server, message, env.rng)
-        env.mod.verify_server(confirm, session, env.card, response, env.server.server_id)
+        _login_exchange(env, env.password)
         phases[scheme] = {
-            "login (client)": login.count,
-            "authentication (server)": server.count,
-            "authentication (client)": confirm.count,
+            "login (client)": env.card_hasher.count,
+            "authentication (server)": env.server_hasher.count,
+            "authentication (client)": env.client_hasher.count,
         }
         card_digests[scheme] = sum(isinstance(value, Digest) for value in vars(env.card).values())
     return CostReport(phases, card_digests)

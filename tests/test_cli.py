@@ -23,6 +23,7 @@ def test_default_run_is_improved_honest(capsys):
     assert code == 0
     assert "verdict: accept" in out
     assert "messages sent: 2" in out
+    assert run_cli(capsys, "run", "--trials", "1") == (code, out)
 
 
 def test_honest_text_report_prints_matching_keys(capsys):
@@ -104,30 +105,28 @@ def test_unwritable_out_fails_before_the_first_trial(tmp_path, monkeypatch, caps
 
 LAST_SEED = 2**64 - 1
 
-# The whole usage message for each command's first seed range past the last seed.
+# Each seed range past the last seed (diff runs ten from the base), with its whole usage message.
 _PAST_THE_LAST = {
-    "run": f"seeds {LAST_SEED}..{LAST_SEED + 1} pass 2**64-1; "
-    f"the largest base seed for 2 seeds is {LAST_SEED - 1}",
-    "diff": f"seeds {LAST_SEED - 8}..{LAST_SEED + 1} pass 2**64-1; "
-    f"the largest base seed for 10 seeds is {LAST_SEED - 9}",
+    ("run", "--seed", str(LAST_SEED), "--trials", "2"): f"seeds {LAST_SEED}..{LAST_SEED + 1} "
+    f"pass 2**64-1; the largest base seed for 2 seeds is {LAST_SEED - 1}",
+    ("diff", "--seed", str(LAST_SEED - 8)): f"seeds {LAST_SEED - 8}..{LAST_SEED + 1} "
+    f"pass 2**64-1; the largest base seed for 10 seeds is {LAST_SEED - 9}",
+    ("run", "--seed", "1", "--trials", str(LAST_SEED + 1)): f"seeds 1..{LAST_SEED + 1} "
+    f"pass 2**64-1; the largest base seed for {LAST_SEED + 1} seeds is 0",
+    ("run", "--trials", str(LAST_SEED + 2)): f"seeds 0..{LAST_SEED + 1} "
+    f"pass 2**64-1; no base seed fits {LAST_SEED + 2} seeds",
 }
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["run", "--seed", str(LAST_SEED), "--trials", "2"],
-        ["diff", "--seed", str(LAST_SEED - 8)],  # diff runs ten seeds from the base
-    ],
-)
-def test_seeds_past_the_last_are_a_usage_error(capsys, argv):
+@pytest.mark.parametrize("argv", list(_PAST_THE_LAST))
+def test_seeds_past_the_last_are_a_usage_error(capsys, monkeypatch, argv):
     # Every seed a command runs must be one ``--seed`` accepts, so any trial reruns alone.
+    calls = []
+    monkeypatch.setattr(cli, "run_scenario", lambda *args: calls.append(args))
     with pytest.raises(SystemExit) as err:
-        main(argv)
-    assert err.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {_PAST_THE_LAST[argv[0]]}\n"
+        main(list(argv))
+    assert (err.value.code, calls) == (2, [])
+    assert capsys.readouterr() == ("", f"error: {_PAST_THE_LAST[argv]}\n")
 
 
 def test_run_exits_1_on_a_mismatch(capsys):
@@ -149,9 +148,11 @@ def test_largest_base_seeds_that_fit_run(capsys):
 def test_env_seed_fallback(capsys, monkeypatch):
     monkeypatch.setenv("SMARTAUTH_SEED", "77")
     _, via_env = run_cli(capsys, "run", "--format", "structured-lines")
+    seeds_over_env = run_cli(capsys, "diff", "--seeds", "1")  # the variable is only a default
     monkeypatch.delenv("SMARTAUTH_SEED")
     _, via_flag = run_cli(capsys, "run", "--seed", "77", "--format", "structured-lines")
     assert via_env == via_flag
+    assert seeds_over_env == run_cli(capsys, "diff", "--seeds", "1")
 
 
 def test_env_seed_must_be_an_integer(capsys, monkeypatch):
@@ -181,6 +182,7 @@ def test_env_seed_is_checked_by_every_command(capsys, monkeypatch, argv):
         ["run", "--format", "yaml"],
         ["nonexistent-command"],
         [],
+        ["diff", "--seed", "5", "--seeds", "1"],  # --seeds would drop --seed silently
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
