@@ -10,12 +10,15 @@ small line-oriented text format.
 from __future__ import annotations
 
 import binascii
+import operator
 import os
 import re
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NoReturn
 
 from .hashing import Digest
 
@@ -125,8 +128,10 @@ class SnapshotError(ValueError):
 
 # The one statement of canonical snapshot text: an identity keeps printable
 # 7-bit bytes other than ``\`` and writes every other byte as a lowercase
-# ``\xhh`` escape.  The loader accepts a line only if this writer gives it back.
+# ``\xhh`` escape.  The loader accepts a chunk of lines only if this writer
+# gives it back.
 _ESCAPED = re.compile(rb"[^\x21-\x5b\x5d-\x7e]")
+_PLAIN_OR_LF = bytes(b for b in range(256) if not _ESCAPED.match(bytes((b,)))) + b"\n"
 _ESCAPE_SEQ = re.compile(rb"\\x([0-9a-f]{2})")
 _BACKSLASH = ord("\\")  # an int: ``in`` finds it faster than the one-byte ``b"\\"``
 
@@ -139,35 +144,68 @@ def _escape_byte(match: "re.Match[bytes]") -> bytes:
     return b"\\x%02x" % match[0][0]
 
 
+def _escape_joined(joined: bytes) -> bytes:
+    """Identities joined by line feeds, each escaped as ``_ESCAPED`` says; line feeds stay.
+
+    One ``translate`` finds the byte values to escape and each gets one
+    ``replace`` over the whole text, ``\\`` first because every escape
+    brings one in.  So the cost follows the number of distinct values, not
+    of escapes, as a regex substitution's would.
+    """
+    escaped = joined.replace(b"\\", b"\\x5c")
+    for byte in set(joined.translate(None, _PLAIN_OR_LF)) - {_BACKSLASH}:
+        escaped = escaped.replace(bytes((byte,)), b"\\x%02x" % byte)
+    return escaped
+
+
 def _unescape_byte(match: "re.Match[bytes]") -> bytes:
     return bytes((int(match[1], 16),))
 
 
-def _entry_line(identity: bytes, nonce: bytes) -> bytes:
-    """One snapshot line, without its line feed: ``identity<TAB>nonce-hex``."""
-    if not nonce:
+def _nonce_width(nonces: "Iterable[bytes]") -> int:
+    """The one width all ``nonces`` share; ``ValueError`` for several or for 0."""
+    widths = set(map(len, nonces))
+    if len(widths) > 1:
+        raise ValueError("inconsistent nonce width")
+    if 0 in widths:
         raise ValueError("empty nonce")
-    return _ESCAPED.sub(_escape_byte, identity) + b"\t" + binascii.hexlify(nonce)
+    return max(widths, default=0)
+
+
+def _entry_lines(identities: "list[bytes]", nonces: "list[bytes]") -> bytes:
+    """Snapshot lines, one ``identity<TAB>nonce-hex<LF>`` per entry, in the given order.
+
+    Each step works on the whole batch at once: one ``hexlify`` gives every
+    nonce's hex, and ``_escape_joined`` escapes the identities joined by
+    line feeds, which is sound only when none of them holds a line feed
+    (else each identity is escaped on its own).  ``ValueError`` for an
+    empty nonce or nonces of more than one width.
+    """
+    width = _nonce_width(nonces)
+    hexes = binascii.hexlify(b"".join(nonces), b"\n", width).split(b"\n")
+    joined = b"\n".join(identities)
+    if joined.count(b"\n") == len(identities) - 1:
+        escaped = _escape_joined(joined).split(b"\n")
+    else:
+        escaped = [_ESCAPED.sub(_escape_byte, identity) for identity in identities]
+    return b"\n".join(map(b"\t".join, zip(escaped, hexes))) + b"\n"
 
 
 def save_replay_db(server: ServerState, path: "str | Path") -> None:
     """Write the replay database as sorted ``identity<TAB>nonce-hex`` lines.
 
     This writer defines the format: ``load_replay_db`` accepts exactly the
-    lines it writes.  A database it could not reload (an empty nonce, or
-    nonces of more than one width) raises ``ValueError`` before any file
-    is created.  The text goes to a private temporary file (mode 0600) in
-    the same directory, ``_WRITE_LINES`` lines per write, so memory beyond
-    the map stays bounded; that file then replaces ``path`` in one step: a
-    reader sees the old snapshot or the new one, never a partial file.
+    lines it writes, and ``_entry_lines`` writes each batch of them.  A
+    database it could not reload (an empty nonce, or nonces of more than
+    one width) raises ``ValueError`` before any file is created.  The text
+    goes to a private temporary file (mode 0600) in the same directory,
+    ``_WRITE_LINES`` lines per write, so memory beyond the map stays
+    bounded; that file then replaces ``path`` in one step: a reader sees
+    the old snapshot or the new one, never a partial file.
     """
     path = Path(path)
     db = server.replay_db
-    widths = {len(nonce) for nonce in db.values()}
-    if len(widths) > 1:
-        raise ValueError("inconsistent nonce width")
-    if 0 in widths:
-        raise ValueError("empty nonce")
+    _nonce_width(db.values())  # raises before any file exists
     identities = sorted(db)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
@@ -175,8 +213,7 @@ def save_replay_db(server: ServerState, path: "str | Path") -> None:
             fh.write(SNAPSHOT_HEADER.encode() + b"\n")
             for start in range(0, len(identities), _WRITE_LINES):
                 batch = identities[start : start + _WRITE_LINES]
-                fh.write(b"\n".join([_entry_line(user_id, db[user_id]) for user_id in batch]))
-                fh.write(b"\n")
+                fh.write(_entry_lines(batch, list(map(db.__getitem__, batch))))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -186,44 +223,100 @@ def save_replay_db(server: ServerState, path: "str | Path") -> None:
 def load_replay_db(path: "str | Path") -> dict[bytes, Digest]:
     """Parse a snapshot back into a replay map; strict, with line numbers.
 
-    Every line ends in a line feed.  An entry line is accepted only if the
-    line writer ``save_replay_db`` uses gives back its exact bytes, its
-    nonce has the first entry's width and its identity follows the
-    previous one in strictly ascending byte order.  Otherwise the first
-    line that breaks a rule, a last line without its line feed included,
-    raises ``SnapshotError`` naming it.  The file's own line iteration
-    reads it through one ``_READ_BYTES`` buffer and each line is checked
-    as it comes, so memory beyond the map stays bounded.
+    Every line ends in a line feed.  The file is read a chunk of lines of
+    about ``_READ_BYTES`` at a time, so memory beyond the map stays
+    bounded.  A chunk is accepted only if ``_entry_lines``, the writer
+    ``save_replay_db`` uses, gives back its exact bytes, its nonces have
+    the first entry's width and its identities follow the previous one in
+    strictly ascending byte order.  Otherwise the chunk is checked again
+    one line at a time, only to name the first line that breaks a rule, a
+    last line without its line feed included, in the ``SnapshotError``
+    raised.
     """
     entries: dict[bytes, Digest] = {}
-    width: int | None = None
+    width = 0
     previous: bytes | None = None
+    line_no = 1
     with open(path, "rb", buffering=_READ_BYTES) as fh:
-        line = next(fh, b"")
-        if line.rstrip(b"\n") != SNAPSHOT_HEADER.encode():
+        header = next(fh, b"")
+        if header.rstrip(b"\n") != SNAPSHOT_HEADER.encode():
             raise SnapshotError(1, f"expected header {SNAPSHOT_HEADER!r}")
-        line_no = 1
-        for line_no, line in enumerate(fh, start=2):
-            entry = line.rstrip(b"\n")
-            id_text, _, hex_text = entry.partition(b"\t")
-            user_id = _ESCAPE_SEQ.sub(_unescape_byte, id_text) if _BACKSLASH in id_text else id_text
-            try:
-                raw = binascii.unhexlify(hex_text)
-                canonical = _entry_line(user_id, raw) == entry
-            except ValueError as exc:
-                raise SnapshotError(line_no, f"bad nonce: {exc}") from None
-            if not canonical:
-                raise SnapshotError(line_no, "not in the canonical form save_replay_db writes")
-            if width is None:
-                width = len(raw)
-            elif len(raw) != width:
-                raise SnapshotError(line_no, "inconsistent nonce width")
-            # Ascending order is what the writer produces; it also rules out duplicates.
-            if previous is not None and user_id <= previous:
-                raise SnapshotError(line_no, "identity repeated or out of ascending order")
-            previous = user_id
-            entries[user_id] = Digest(raw)
-    # Checked after the last line itself, so a malformed last line is the one reported.
-    if not line.endswith(b"\n"):
-        raise SnapshotError(line_no, "missing final newline")
+        if not header.endswith(b"\n"):
+            raise SnapshotError(1, "missing final newline")
+        while lines := fh.readlines(_READ_BYTES):
+            batch = _canonical_chunk(lines, width, previous)
+            if batch is None:
+                _raise_at_first_bad_line(lines, line_no, width, previous)
+            ids, nonces = batch
+            entries.update(zip(ids, nonces))
+            width = len(nonces[0])
+            previous = ids[-1]
+            line_no += len(lines)
     return entries
+
+
+def _canonical_chunk(
+    lines: "list[bytes]", width: int, previous: "bytes | None"
+) -> "tuple[list[bytes], list[Digest]] | None":
+    """The identities and nonces of ``lines``, or ``None`` unless they pass.
+
+    They pass when the writer gives back their exact bytes, every nonce is
+    ``width`` bytes (any one width while ``width`` is 0) and the identities
+    ascend past ``previous``.
+    """
+    data = b"".join(lines)
+    count = len(lines)
+    fields = data.replace(b"\t", b"\n").split(b"\n")
+    if len(fields) != 2 * count + 1:  # not one tab and one line feed a line
+        return None
+    id_texts, hex_texts = fields[:-1:2], fields[1::2]
+    width = width or len(hex_texts[0]) // 2
+    try:
+        raw = binascii.unhexlify(b"".join(hex_texts))
+    except ValueError:
+        return None
+    if not width or len(raw) != width * count:
+        return None
+    nonces = [Digest(raw[start : start + width]) for start in range(0, len(raw), width)]
+    ids = [
+        _ESCAPE_SEQ.sub(_unescape_byte, id_text) if _BACKSLASH in id_text else id_text
+        for id_text in id_texts
+    ]
+    if previous is not None and ids[0] <= previous:
+        return None
+    if not all(map(operator.lt, ids, ids[1:])) or _entry_lines(ids, nonces) != data:
+        return None
+    return ids, nonces
+
+
+def _raise_at_first_bad_line(
+    lines: "list[bytes]", line_no: int, width: int, previous: "bytes | None"
+) -> NoReturn:
+    """Name the first line of a refused chunk that breaks a rule.
+
+    Each line is checked as a one-entry batch; the lines before ``lines``
+    end at ``line_no``.  A chunk is refused only when one of its lines is
+    bad, so the loop always raises.
+    """
+    for line_no, line in enumerate(lines, start=line_no + 1):
+        entry = line.rstrip(b"\n")
+        id_text, _, hex_text = entry.partition(b"\t")
+        user_id = _ESCAPE_SEQ.sub(_unescape_byte, id_text)
+        try:
+            raw = binascii.unhexlify(hex_text)
+            canonical = _entry_lines([user_id], [raw]) == entry + b"\n"
+        except ValueError as exc:
+            raise SnapshotError(line_no, f"bad nonce: {exc}") from None
+        if not canonical:
+            raise SnapshotError(line_no, "not in the canonical form save_replay_db writes")
+        if width and len(raw) != width:
+            raise SnapshotError(line_no, "inconsistent nonce width")
+        width = len(raw)
+        # Ascending order is what the writer produces; it also rules out duplicates.
+        if previous is not None and user_id <= previous:
+            raise SnapshotError(line_no, "identity repeated or out of ascending order")
+        # Checked after the line itself, so a malformed last line is the one reported.
+        if not line.endswith(b"\n"):
+            raise SnapshotError(line_no, "missing final newline")
+        previous = user_id
+    raise AssertionError("the chunk check refused a chunk with no bad line")

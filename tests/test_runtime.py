@@ -281,7 +281,7 @@ def _whole_file_load(data: bytes) -> dict:
         user_id = re.sub(rb"\\x([0-9a-f]{2})", lambda m: bytes((int(m[1], 16),)), id_text)
         try:
             raw = binascii.unhexlify(hex_text)
-            canonical = runtime._entry_line(user_id, raw) == line
+            canonical = runtime._entry_lines([user_id], [raw]) == line + b"\n"
         except ValueError as exc:
             raise SnapshotError(line_no, f"bad nonce: {exc}") from None
         if not canonical:
@@ -351,6 +351,97 @@ def test_snapshot_line_spanning_many_reads(tmp_path, monkeypatch):
     ):
         path.write_bytes(data)
         assert _load_outcome(load_replay_db, path) == _load_outcome(_whole_file_load, data)
+
+
+_ODD_SUFFIXES = (b"", b"\\", b" x", b"\x7f", b"\x80\xff")
+_LF_ENTRY = 700  # the one identity with a raw line feed, in the first write batch only
+_MIDDLE_ENTRY = 1501  # its identity ends in "\", written as the escape \x5c
+
+
+def _odd_db():
+    """3,000 entries whose identities need every kind of escape, one raw LF included."""
+    return {
+        b"user-%05d%s" % (i, b"\nlf" if i == _LF_ENTRY else _ODD_SUFFIXES[i % 5]): Digest(
+            i.to_bytes(4, "big")
+        )
+        for i in range(3000)
+    }
+
+
+def test_snapshot_batches_write_the_per_entry_text(tmp_path):
+    db = _odd_db()
+    identities = sorted(db)
+    assert identities.index(b"user-%05d\nlf" % _LF_ENTRY) < runtime._WRITE_LINES < len(db)
+    path = tmp_path / "db.snapshot"
+    save_replay_db(_server(db), path)
+    expected = _HEADER + b"".join(
+        b"".join(bytes((b,)) if 0x21 <= b <= 0x7E and b != 0x5C else b"\\x%02x" % b for b in identity)
+        + b"\t"
+        + db[identity].hex().encode()
+        + b"\n"
+        for identity in identities
+    )
+    assert path.read_bytes() == expected
+
+
+def _corrupt(lines, kind):
+    """Lines of the snapshot text, with the ``_MIDDLE_ENTRY`` line broken in one way."""
+    lines = list(lines)
+    m = _MIDDLE_ENTRY + 1  # index 0 is the header
+    if kind == "uppercase-escape":
+        lines[m] = lines[m].replace(b"\\x5c", b"\\x5C")
+    elif kind == "needless-escape":
+        lines[m] = lines[m].replace(b"user", b"\\x75ser")
+    elif kind == "bad-hex":
+        lines[m] = lines[m][:-1] + b"g"
+    elif kind == "second-tab":
+        lines[m] = lines[m][:-2] + b"\t" + lines[m][-2:]
+    elif kind == "crlf":
+        lines[m] += b"\r"
+    elif kind == "other-width":
+        lines[m] = lines[m][:-2]
+    elif kind == "swapped":
+        lines[m], lines[m + 1] = lines[m + 1], lines[m]
+    elif kind == "duplicate":
+        lines.insert(m + 1, lines[m])
+    elif kind == "missing-final-newline":
+        assert lines.pop() == b""
+    return lines
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "uppercase-escape", "needless-escape", "bad-hex", "second-tab", "crlf",
+        "other-width", "swapped", "duplicate", "missing-final-newline",
+    ],
+)
+def test_snapshot_bad_line_inside_a_chunk_is_named_like_the_whole_file_parse(
+    tmp_path, monkeypatch, kind
+):
+    db = _odd_db()
+    path = tmp_path / "db.snapshot"
+    save_replay_db(_server(db), path)
+    clean = path.read_bytes()
+    data = b"\n".join(_corrupt(clean.split(b"\n"), kind))
+    assert data != clean
+    path.write_bytes(data)
+    expected = _load_outcome(_whole_file_load, data)
+    assert isinstance(expected, tuple)  # every corruption is an error
+    for read_bytes in (64, 4093, 1 << 16):
+        monkeypatch.setattr(runtime, "_READ_BYTES", read_bytes)
+        assert _load_outcome(load_replay_db, path) == expected, read_bytes
+
+
+def test_snapshot_clean_multi_chunk_file_loads_to_the_map(tmp_path, monkeypatch):
+    db = _odd_db()
+    path = tmp_path / "db.snapshot"
+    save_replay_db(_server(db), path)
+    for read_bytes in (64, 4093, 1 << 16):
+        monkeypatch.setattr(runtime, "_READ_BYTES", read_bytes)
+        loaded = load_replay_db(path)
+        assert loaded == db
+        assert all(type(nonce) is Digest for nonce in loaded.values())
 
 
 def test_snapshot_save_and_load_hold_less_than_half_the_file(tmp_path):
