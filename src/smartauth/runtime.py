@@ -14,9 +14,9 @@ import operator
 import os
 import re
 import tempfile
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import NoReturn
 
@@ -130,8 +130,7 @@ class SnapshotError(ValueError):
 # 7-bit bytes other than ``\`` and writes every other byte as a lowercase
 # ``\xhh`` escape.  The loader accepts a chunk of lines only if this writer
 # gives it back.
-_ESCAPED = re.compile(rb"[^\x21-\x5b\x5d-\x7e]")
-_PLAIN_OR_LF = bytes(b for b in range(256) if not _ESCAPED.match(bytes((b,)))) + b"\n"
+_PLAIN = bytes(range(0x21, 0x7F)).replace(b"\\", b"")
 _ESCAPE_SEQ = re.compile(rb"\\x([0-9a-f]{2})")
 _BACKSLASH = ord("\\")  # an int: ``in`` finds it faster than the one-byte ``b"\\"``
 
@@ -140,20 +139,17 @@ _WRITE_LINES = 1024
 _READ_BYTES = 1 << 16
 
 
-def _escape_byte(match: "re.Match[bytes]") -> bytes:
-    return b"\\x%02x" % match[0][0]
-
-
 def _escape_joined(joined: bytes) -> bytes:
-    """Identities joined by line feeds, each escaped as ``_ESCAPED`` says; line feeds stay.
+    """Identities joined by line feeds, every byte outside ``_PLAIN`` escaped; line feeds stay.
 
-    One ``translate`` finds the byte values to escape and each gets one
-    ``replace`` over the whole text, ``\\`` first because every escape
-    brings one in.  So the cost follows the number of distinct values, not
-    of escapes, as a regex substitution's would.
+    The one escaper: ``_entry_lines`` rejoins a line feed inside an
+    identity as ``\\x0a`` itself.  One ``translate`` finds the byte values
+    to escape and each gets one ``replace`` over the whole text, ``\\``
+    first because every escape brings one in.  So the cost follows the
+    number of distinct values, not of escapes.
     """
     escaped = joined.replace(b"\\", b"\\x5c")
-    for byte in set(joined.translate(None, _PLAIN_OR_LF)) - {_BACKSLASH}:
+    for byte in set(joined.translate(None, _PLAIN + b"\n")) - {_BACKSLASH}:
         escaped = escaped.replace(bytes((byte,)), b"\\x%02x" % byte)
     return escaped
 
@@ -162,32 +158,23 @@ def _unescape_byte(match: "re.Match[bytes]") -> bytes:
     return bytes((int(match[1], 16),))
 
 
-def _nonce_width(nonces: "Iterable[bytes]") -> int:
-    """The one width all ``nonces`` share; ``ValueError`` for several or for 0."""
-    widths = set(map(len, nonces))
-    if len(widths) > 1:
-        raise ValueError("inconsistent nonce width")
-    if 0 in widths:
-        raise ValueError("empty nonce")
-    return max(widths, default=0)
-
-
 def _entry_lines(identities: "list[bytes]", nonces: "list[bytes]") -> bytes:
     """Snapshot lines, one ``identity<TAB>nonce-hex<LF>`` per entry, in the given order.
 
     Each step works on the whole batch at once: one ``hexlify`` gives every
     nonce's hex, and ``_escape_joined`` escapes the identities joined by
-    line feeds, which is sound only when none of them holds a line feed
-    (else each identity is escaped on its own).  ``ValueError`` for an
-    empty nonce or nonces of more than one width.
+    line feeds.  An identity that holds line feeds splits into that many
+    more pieces, rejoined by ``\\x0a``.  The batch is never empty and its
+    nonces share one width; ``ValueError`` if that width is 0.
     """
-    width = _nonce_width(nonces)
+    width = len(nonces[0])
+    if not width:
+        raise ValueError("empty nonce")
     hexes = binascii.hexlify(b"".join(nonces), b"\n", width).split(b"\n")
-    joined = b"\n".join(identities)
-    if joined.count(b"\n") == len(identities) - 1:
-        escaped = _escape_joined(joined).split(b"\n")
-    else:
-        escaped = [_ESCAPED.sub(_escape_byte, identity) for identity in identities]
+    escaped = _escape_joined(b"\n".join(identities)).split(b"\n")
+    if len(escaped) > len(identities):  # some identity held raw line feeds
+        pieces = iter(escaped)
+        escaped = [b"\\x0a".join(islice(pieces, i.count(b"\n") + 1)) for i in identities]
     return b"\n".join(map(b"\t".join, zip(escaped, hexes))) + b"\n"
 
 
@@ -205,9 +192,14 @@ def save_replay_db(server: ServerState, path: "str | Path") -> None:
     """
     path = Path(path)
     db = server.replay_db
-    _nonce_width(db.values())  # raises before any file exists
+    widths = set(map(len, db.values()))  # checked before any file exists
+    if len(widths) > 1:
+        raise ValueError("inconsistent nonce width")
+    if 0 in widths:
+        raise ValueError("empty nonce")
     identities = sorted(db)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    # 60 characters of at most 4 bytes keep the temporary name within 255 bytes.
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name[:60]}.", suffix=".tmp")
     try:
         with open(fd, "wb") as fh:
             fh.write(SNAPSHOT_HEADER.encode() + b"\n")

@@ -60,9 +60,10 @@ def _scopes(tree: ast.AST) -> dict[ast.AST, str]:
 
 
 def test_each_decision_has_one_owner():
-    """Only ``protocol`` names a ``hardened`` attribute, and ``.hex()`` is called only
-    where output is written: ``Event.render``, ``cli._text_report`` and ``Digest.__repr__``."""
-    hardened_readers, hex_callers = set(), set()
+    """Only ``protocol`` names a ``hardened`` attribute, ``.hex()`` is called only
+    where output is written: ``Event.render``, ``cli._text_report`` and ``Digest.__repr__``,
+    and only ``runtime._escape_joined`` holds the snapshot's ``\\xhh`` escape literal."""
+    hardened_readers, hex_callers, escapers = set(), set(), set()
     for path in sorted((ROOT / "src" / "smartauth").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         scopes = _scopes(tree)
@@ -71,8 +72,11 @@ def test_each_decision_has_one_owner():
                 hardened_readers.add(path.stem)
             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "hex":
                 hex_callers.add(f"{path.stem}.{scopes[node]}")
+            if isinstance(node, ast.Constant) and node.value == b"\\x%02x":
+                escapers.add(f"{path.stem}.{scopes[node]}")
     assert hardened_readers == {"protocol"}
     assert hex_callers == {"channel.Event.render", "cli._text_report", "hashing.Digest.__repr__"}
+    assert escapers == {"runtime._escape_joined"}
 
 
 def test_readme_code_names_exist():

@@ -2,7 +2,9 @@
 
 import binascii
 import dataclasses
+import os
 import re
+import stat
 import tracemalloc
 
 import pytest
@@ -25,7 +27,7 @@ from smartauth import (
 from smartauth import runtime
 from smartauth.channel import flip_bit, message_fields, tamper_message
 
-from support import make_setup
+from support import make_setup, raw_hash
 
 
 def _server(db=None):
@@ -102,6 +104,21 @@ def test_stale_replay_of_an_older_login_is_accepted(mod):
     assert replayed_session.client_nonce == first_session.client_nonce
     assert replayed_session.server_nonce != first_session.server_nonce
     assert s.server.replay_db[s.user_id] == first_session.client_nonce
+
+
+@pytest.mark.parametrize("mod", [baseline, improved], ids=["baseline", "improved"])
+def test_a_snapshot_and_the_last_login_give_the_identity_key(mod, tmp_path):
+    # A snapshot holds each user's last accepted client nonce, and that
+    # login's masked nonce is the same nonce XOR h(user_id, master_secret),
+    # so the two together give the identity key.  A known weakness of both
+    # schemes, pinned here: a snapshot must be kept secret.
+    s = make_setup(mod, seed=11)
+    message, _ = mod.login(s.hasher, s.card, s.user_id, s.password, s.biometric, s.rng)
+    mod.authenticate(s.hasher, s.server, message, s.rng)
+    path = tmp_path / "db.snapshot"
+    save_replay_db(s.server, path)
+    nonce = load_replay_db(path)[s.user_id]
+    assert nonce ^ message.masked_nonce == raw_hash(32, s.user_id, s.rc.master_secret)
 
 
 # --- snapshots ----------------------------------------------------------
@@ -219,6 +236,29 @@ def test_snapshot_save_replaces_the_file_in_one_step(tmp_path, monkeypatch):
         save_replay_db(_server({b"bob": Digest(b"\x02" * 4)}), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["db.snapshot"]  # no temp file left
+
+
+def test_snapshot_file_is_private(tmp_path):
+    server = _server({b"alice": Digest(b"\x01" * 4)})
+    path = tmp_path / "db.snapshot"
+    save_replay_db(server, path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    path.chmod(0o644)
+    save_replay_db(server, path)  # the replaced file's mode is not kept
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+def test_snapshot_with_a_255_byte_name(tmp_path):
+    if os.pathconf(tmp_path, "PC_NAME_MAX") < 255:
+        pytest.skip("this filesystem's names are shorter than 255 bytes")
+    server = _server({b"alice": Digest(b"\x01" * 4)})
+    for name in ("s" * 255, "\u00e9" * 127 + "s", "\U0001d11e" * 63 + "sss"):
+        assert len(os.fsencode(name)) == 255
+        path = tmp_path / name
+        save_replay_db(server, path)
+        assert load_replay_db(path) == server.replay_db
+        assert [p.name for p in tmp_path.iterdir()] == [name]  # no temp file left
+        path.unlink()
 
 
 @pytest.mark.parametrize(
@@ -368,20 +408,35 @@ def _odd_db():
     }
 
 
+def _lf_db():
+    """Eight edge identities, most with raw line feeds, four in each of two write batches."""
+    identities = [b"%04d" % i for i in range(1500)] + [
+        b"", b"\n", b"\n\n", b"\nx", b"x\n", b"\\\n", b"a\\x0a", b"\\x0a\n"
+    ]
+    return {identity: Digest(n.to_bytes(4, "big")) for n, identity in enumerate(identities)}
+
+
 def test_snapshot_batches_write_the_per_entry_text(tmp_path):
-    db = _odd_db()
-    identities = sorted(db)
-    assert identities.index(b"user-%05d\nlf" % _LF_ENTRY) < runtime._WRITE_LINES < len(db)
-    path = tmp_path / "db.snapshot"
-    save_replay_db(_server(db), path)
-    expected = _HEADER + b"".join(
-        b"".join(bytes((b,)) if 0x21 <= b <= 0x7E and b != 0x5C else b"\\x%02x" % b for b in identity)
-        + b"\t"
-        + db[identity].hex().encode()
-        + b"\n"
-        for identity in identities
-    )
-    assert path.read_bytes() == expected
+    for db, lf_batches in ((_odd_db(), {0}), (_lf_db(), {0, 1})):
+        identities = sorted(db)
+        assert len(db) > runtime._WRITE_LINES
+        assert {n // runtime._WRITE_LINES for n, i in enumerate(identities) if b"\n" in i} == (
+            lf_batches
+        )
+        path = tmp_path / "db.snapshot"
+        save_replay_db(_server(db), path)
+        expected = _HEADER + b"".join(
+            b"".join(
+                bytes((b,)) if 0x21 <= b <= 0x7E and b != 0x5C else b"\\x%02x" % b
+                for b in identity
+            )
+            + b"\t"
+            + db[identity].hex().encode()
+            + b"\n"
+            for identity in identities
+        )
+        assert path.read_bytes() == expected
+        assert load_replay_db(path) == db
 
 
 def _corrupt(lines, kind):
