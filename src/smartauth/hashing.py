@@ -51,6 +51,18 @@ class Digest(bytes):
         return f"Digest({self.hex()})"
 
 
+def _check_digest_size(digest_size: int) -> None:
+    if not 1 <= digest_size <= SHA256_SIZE:
+        raise ValueError(f"digest size must be 1 to {SHA256_SIZE} bytes, not {digest_size}")
+
+
+def seeded_random(seed: int) -> random.Random:
+    """``random.Random(seed)``, refusing a negative seed it would take as ``abs(seed)``."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return random.Random(seed)
+
+
 # Length prefixes of the short parts every protocol hash is made of.
 _SHORT_PREFIXES = tuple(size.to_bytes(4, "big") for size in range(256))
 
@@ -89,8 +101,7 @@ class Hasher:
     """
 
     def __init__(self, digest_size: int = SHA256_SIZE) -> None:
-        if not 1 <= digest_size <= SHA256_SIZE:
-            raise ValueError(f"digest size must be 1 to {SHA256_SIZE} bytes, not {digest_size}")
+        _check_digest_size(digest_size)
         self.count = 0
         self.digest_size = digest_size
 
@@ -110,8 +121,9 @@ class DigestRng:
     """
 
     def __init__(self, seed: int, digest_size: int) -> None:
+        _check_digest_size(digest_size)
         self.digest_size = digest_size
-        self._rng = random.Random(seed)
+        self._rng = seeded_random(seed)
 
     def digest(self) -> Digest:
         return Digest(self._rng.randbytes(self.digest_size))

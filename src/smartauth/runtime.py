@@ -59,12 +59,12 @@ class Rejected(Exception):
         return self.reason in LOCAL_REASONS
 
 
-_ID_FORMAT = re.compile(rb"[\x21-\x7e]{1,%d}" % MAX_ID_BYTES)
+ID_BYTES = bytes(range(0x21, 0x7F))  # printable 7-bit, no whitespace
 
 
 def check_id_format(identity: bytes) -> bool:
-    """True iff the identity is 1..64 bytes of printable 7-bit, no whitespace."""
-    return _ID_FORMAT.fullmatch(identity) is not None
+    """True iff the identity is 1..64 bytes, each of them in ``ID_BYTES``."""
+    return not identity.translate(None, ID_BYTES) and 0 < len(identity) <= MAX_ID_BYTES
 
 
 def check_credentials(user_id: bytes, password: bytes, biometric: bytes) -> None:
@@ -126,11 +126,10 @@ class SnapshotError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-# The one statement of canonical snapshot text: an identity keeps printable
-# 7-bit bytes other than ``\`` and writes every other byte as a lowercase
-# ``\xhh`` escape.  The loader accepts a chunk of lines only if this writer
-# gives it back.
-_PLAIN = bytes(range(0x21, 0x7F)).replace(b"\\", b"")
+# The one statement of canonical snapshot text: an identity keeps as-is the bytes
+# an identity may hold, except ``\``, and writes every other byte as a lowercase
+# ``\xhh`` escape.  The loader accepts a chunk of lines only if this writer gives it back.
+_PLAIN = ID_BYTES.replace(b"\\", b"")
 _ESCAPE_SEQ = re.compile(rb"\\x([0-9a-f]{2})")
 _BACKSLASH = ord("\\")  # an int: ``in`` finds it faster than the one-byte ``b"\\"``
 

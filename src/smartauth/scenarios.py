@@ -13,20 +13,17 @@ first rejection a script does not catch ends the run and is its reason;
 from __future__ import annotations
 
 import contextlib
-import random
 from dataclasses import dataclass, fields as dataclass_fields
 
 from . import baseline, improved
 from .channel import AdversarialChannel, Tamper, Transcript
-from .hashing import SHA256_SIZE, Digest, DigestRng, Hasher
+from .hashing import SHA256_SIZE, Digest, DigestRng, Hasher, seeded_random
 from .protocol import extract_identity_key
-from .runtime import LOCAL_REASONS, Reason, Rejected, RegistrationCenter, ServerState
+from .runtime import ID_BYTES, LOCAL_REASONS, Reason, Rejected, RegistrationCenter, ServerState
 
 # The one place a scheme name is bound to its module.
 _SCHEME_MODULES = {"baseline": baseline, "improved": improved}
 SCHEMES = tuple(_SCHEME_MODULES)
-
-ID_ALPHABET = bytes(range(0x21, 0x7F))
 
 
 def verdict_class(reason: Reason | str | None) -> str:
@@ -83,8 +80,8 @@ class _Env:
         self.seed = seed
         self.digest_size = digest_size
         self.mod = _SCHEME_MODULES[scheme]
-        self.master = random.Random(seed)
-        self.user_id = bytes(self.master.choices(ID_ALPHABET, k=self.master.randint(4, 16)))
+        self.master = seeded_random(seed)
+        self.user_id = bytes(self.master.choices(ID_BYTES, k=self.master.randint(4, 16)))
         self.password = self._secret()
         self.wrong_password = self._distinct_secret(self.password)
         self.new_password = self._distinct_secret(self.password)
@@ -95,7 +92,7 @@ class _Env:
         self.server = ServerState(
             master_secret,
             shared_secret,
-            server_id=b"srv-" + bytes(self.master.choices(ID_ALPHABET, k=8)),
+            server_id=b"srv-" + bytes(self.master.choices(ID_BYTES, k=8)),
         )
         self.rng = DigestRng(self.master.getrandbits(64), digest_size)
         self.card_hasher = Hasher(digest_size)  # one per actor the probes name
@@ -371,9 +368,6 @@ def run_scenario(
         raise ValueError(f"unknown scheme {scheme!r}")
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
-    if seed < 0:
-        # ``random.Random`` seeds with ``abs(seed)``: -5 would replay seed 5.
-        raise ValueError(f"seed must be non-negative, got {seed}")
     env = _Env(scheme, scenario, seed, digest_size)
     return _run(env, _TABLE[scenario][0])
 

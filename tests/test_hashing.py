@@ -82,8 +82,13 @@ def test_toy8_exhaustive_enumeration():
 @pytest.mark.parametrize("width", [0, 33])
 def test_digest_width_outside_one_to_32_rejected(width):
     # 0 would give empty digests; sha256 has only 32 bytes to truncate.
-    with pytest.raises(ValueError):
+    # The nonce source keeps the same rule, so a bad width fails at once,
+    # not at the first XOR of a nonce with a hash.
+    message = f"digest size must be 1 to 32 bytes, not {width}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         Hasher(width)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DigestRng(3, width)
 
 
 def test_xor_pairwise_properties_exhaustive_width8():
@@ -178,6 +183,12 @@ def test_digest_rng_deterministic_and_sized():
     assert a.salt() == b.salt()
     assert len(a.salt()) == 16
     assert len(DigestRng(0, 2).digest()) == 2
+
+
+def test_digest_rng_refuses_a_negative_seed():
+    # ``random.Random`` seeds with ``abs(seed)``: -1 would draw seed 1's nonces.
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        DigestRng(-1, 32)
 
 
 def test_digest_rng_draws_distinct_nonces():

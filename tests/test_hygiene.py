@@ -62,10 +62,14 @@ def _scopes(tree: ast.AST) -> dict[ast.AST, str]:
 def test_each_decision_has_one_owner():
     """Only ``protocol`` names a ``hardened`` attribute, ``.hex()`` is called only
     where output is written: ``Event.render``, ``cli._text_report`` and ``Digest.__repr__``,
-    and only ``runtime._escape_joined`` holds the snapshot's ``\\xhh`` escape literal."""
-    hardened_readers, hex_callers, escapers = set(), set(), set()
+    only ``runtime._escape_joined`` holds the snapshot's ``\\xhh`` escape literal, and the
+    identity bytes 0x21..0x7e are written once, as ``runtime.ID_BYTES``, in either spelling."""
+    hardened_readers, hex_callers, escapers, id_ranges = set(), set(), set(), []
     for path in sorted((ROOT / "src" / "smartauth").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        for spelling in ("range(0x21, 0x7f)", "\\x21-\\x7e"):  # in lowercased source
+            id_ranges += [path.stem] * text.lower().count(spelling)
+        tree = ast.parse(text)
         scopes = _scopes(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr == "hardened":
@@ -77,6 +81,7 @@ def test_each_decision_has_one_owner():
     assert hardened_readers == {"protocol"}
     assert hex_callers == {"channel.Event.render", "cli._text_report", "hashing.Digest.__repr__"}
     assert escapers == {"runtime._escape_joined"}
+    assert id_ranges == ["runtime"]
 
 
 def test_readme_code_names_exist():

@@ -52,7 +52,7 @@ def test_id_format_rejects_bad_lengths_and_bytes():
 
 
 def _bytewise_id_format(identity: bytes) -> bool:
-    # The per-byte definition the compiled pattern replaced.
+    # The rule stated byte by byte, independently of ``runtime.ID_BYTES``, as a reference.
     if not 1 <= len(identity) <= 64:
         return False
     return all(0x21 <= b <= 0x7E for b in identity)
@@ -64,6 +64,9 @@ def test_id_format_matches_the_bytewise_definition():
     cases += [b"x" * 63 + bytes([b]) for b in range(256)]
     for identity in cases:
         assert check_id_format(identity) == _bytewise_id_format(identity), identity
+        assert check_id_format(bytearray(identity)) == _bytewise_id_format(identity), identity
+    with pytest.raises(TypeError):
+        check_id_format("alice")
 
 
 # --- replay database ---------------------------------------------------

@@ -278,7 +278,7 @@ def test_unknown_ids_raise():
         run_scenario("improved", "no-such-scenario", 0)
     with pytest.raises(ValueError):
         run_scenario("no-such-scheme", "honest", 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -5$"):
         run_scenario("improved", "honest", -5)  # would render seed 5's transcript
 
 
