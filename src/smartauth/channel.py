@@ -66,10 +66,6 @@ class Transcript:
     def render(self) -> str:
         return "\n".join([event.render() for event in self.events]) + "\n"
 
-    @property
-    def final(self) -> Event:
-        return self.events[-1]
-
 
 @dataclass(frozen=True)
 class Tamper:

@@ -126,10 +126,9 @@ class SnapshotError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-# The one statement of canonical snapshot text: an identity keeps as-is the bytes
-# an identity may hold, except ``\``, and writes every other byte as a lowercase
-# ``\xhh`` escape.  The loader accepts a chunk of lines only if this writer gives it back.
-_PLAIN = ID_BYTES.replace(b"\\", b"")
+# The one statement of canonical snapshot text: an identity keeps as-is each byte
+# of ``ID_BYTES`` but ``\``, which opens every escape, and writes every other byte
+# as a lowercase ``\xhh`` escape.  The loader accepts only lines this writer gives back.
 _ESCAPE_SEQ = re.compile(rb"\\x([0-9a-f]{2})")
 _BACKSLASH = ord("\\")  # an int: ``in`` finds it faster than the one-byte ``b"\\"``
 
@@ -139,16 +138,16 @@ _READ_BYTES = 1 << 16
 
 
 def _escape_joined(joined: bytes) -> bytes:
-    """Identities joined by line feeds, every byte outside ``_PLAIN`` escaped; line feeds stay.
+    """Identities joined by line feeds, ``\\`` and each byte outside ``ID_BYTES`` escaped.
 
-    The one escaper: ``_entry_lines`` rejoins a line feed inside an
-    identity as ``\\x0a`` itself.  One ``translate`` finds the byte values
-    to escape and each gets one ``replace`` over the whole text, ``\\``
-    first because every escape brings one in.  So the cost follows the
-    number of distinct values, not of escapes.
+    Line feeds stay.  The one escaper: ``_entry_lines`` rejoins a line
+    feed inside an identity as ``\\x0a`` itself.  ``\\`` goes first, as
+    every escape brings one in; one ``translate`` then finds the other
+    values to escape, each with one ``replace`` over the whole text, so
+    the cost follows the number of distinct values, not of escapes.
     """
     escaped = joined.replace(b"\\", b"\\x5c")
-    for byte in set(joined.translate(None, _PLAIN + b"\n")) - {_BACKSLASH}:
+    for byte in set(joined.translate(None, ID_BYTES + b"\n")):
         escaped = escaped.replace(bytes((byte,)), b"\\x%02x" % byte)
     return escaped
 

@@ -126,7 +126,7 @@ def test_different_seeds_differ():
 @pytest.mark.parametrize("scheme,scenario", ALL_COMBOS)
 def test_final_event_is_exactly_one_verdict(scheme, scenario):
     transcript, result = run_scenario(scheme, scenario, seed=2)
-    final = transcript.final
+    final = transcript.events[-1]
     assert final.actor == "run"
     if result.verdict == "accept":
         assert final.kind == "accept"
@@ -200,7 +200,7 @@ def test_stale_replay_through_the_runner_lists_only_the_server_key(scheme):
     transcript, result = _run(_Env(scheme, "replay", 0, 32), script)
     assert result.verdict == "accept"
     assert result.client_key is None and result.server_key is not None
-    final = transcript.final
+    final = transcript.events[-1]
     assert (final.actor, final.kind, final.verdict) == ("run", "accept", "accept")
     assert final.fields == (("server_key", result.server_key),)
     report = _text_report(0, result, transcript).splitlines()
@@ -225,6 +225,14 @@ def test_toy_width_verifier_collision_accepts_a_wrong_password(scheme):
     _, result = run_scenario(scheme, "wrong-password", 60, 1)
     assert result.verdict == "accept"
     assert result.client_key is not None and result.client_key == result.server_key
+
+
+def test_distinct_secret_draws_again_while_it_repeats_the_other(monkeypatch):
+    # A real 6-24-byte draw never repeats the password, so feed repeats.
+    env = _Env("improved", "wrong-password", 0, 32)
+    draws = iter([b"same", b"same", b"new"])
+    monkeypatch.setattr(env, "_secret", lambda: next(draws))
+    assert env._distinct_secret(b"same") == b"new"
 
 
 def test_runs_leave_no_reference_cycles():
