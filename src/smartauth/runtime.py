@@ -96,13 +96,13 @@ class ServerState:
     ``master_secret`` and ``shared_secret`` never leave this process:
     they appear in no message and no transcript.  ``replay_db`` maps a
     user identity to the client nonce recovered from that user's last
-    accepted login.
+    accepted login; nonces are only compared, so a loaded one is ``bytes``.
     """
 
     master_secret: Digest
     shared_secret: Digest
     server_id: bytes
-    replay_db: dict[bytes, Digest] = field(default_factory=dict)
+    replay_db: dict[bytes, bytes] = field(default_factory=dict)
 
 
 def replay_check_and_store(server: ServerState, user_id: bytes, nonce: Digest) -> bool:
@@ -210,20 +210,20 @@ def save_replay_db(server: ServerState, path: "str | Path") -> None:
         raise
 
 
-def load_replay_db(path: "str | Path") -> dict[bytes, Digest]:
+def load_replay_db(path: "str | Path") -> dict[bytes, bytes]:
     """Parse a snapshot back into a replay map; strict, with line numbers.
 
-    Every line ends in a line feed.  The file is read a chunk of lines of
-    about ``_READ_BYTES`` at a time, so memory beyond the map stays
-    bounded.  A chunk is accepted only if ``_entry_lines``, the writer
-    ``save_replay_db`` uses, gives back its exact bytes, its nonces have
-    the first entry's width and its identities follow the previous one in
-    strictly ascending byte order.  Otherwise the chunk is checked again
-    one line at a time, only to name the first line that breaks a rule, a
-    last line without its line feed included, in the ``SnapshotError``
-    raised.
+    Nonces load as plain ``bytes``: the server only compares them, and
+    the cyclic GC does not track ``bytes``; wrap one in ``Digest`` to XOR
+    it.  The file is read in chunks of lines of about ``_READ_BYTES``, so
+    memory beyond the map stays bounded.  A chunk is accepted only if
+    ``_entry_lines``, the writer ``save_replay_db`` uses, gives back its
+    exact bytes, its nonces have the first entry's width and its
+    identities ascend strictly past the previous one.  Otherwise each line
+    is checked on its own, only to name the first bad one (an unterminated
+    last line included) in the ``SnapshotError`` raised.
     """
-    entries: dict[bytes, Digest] = {}
+    entries: dict[bytes, bytes] = {}
     width = 0
     previous: bytes | None = None
     line_no = 1
@@ -247,7 +247,7 @@ def load_replay_db(path: "str | Path") -> dict[bytes, Digest]:
 
 def _canonical_chunk(
     lines: "list[bytes]", width: int, previous: "bytes | None"
-) -> "tuple[list[bytes], list[Digest]] | None":
+) -> "tuple[list[bytes], list[bytes]] | None":
     """The identities and nonces of ``lines``, or ``None`` unless they pass.
 
     They pass when the writer gives back their exact bytes, every nonce is
@@ -267,7 +267,7 @@ def _canonical_chunk(
         return None
     if not width or len(raw) != width * count:
         return None
-    nonces = [Digest(raw[start : start + width]) for start in range(0, len(raw), width)]
+    nonces = [raw[start : start + width] for start in range(0, len(raw), width)]
     ids = [
         _ESCAPE_SEQ.sub(_unescape_byte, id_text) if _BACKSLASH in id_text else id_text
         for id_text in id_texts

@@ -13,6 +13,8 @@ from smartauth import (
     AdversarialChannel,
     Digest,
     Event,
+    Reason,
+    Rejected,
     ServerState,
     SnapshotError,
     Tamper,
@@ -27,7 +29,7 @@ from smartauth import (
 from smartauth import runtime
 from smartauth.channel import flip_bit, message_fields, tamper_message
 
-from support import make_setup, raw_hash
+from support import exchange, make_setup, raw_hash
 
 
 def _server(db=None):
@@ -121,7 +123,24 @@ def test_a_snapshot_and_the_last_login_give_the_identity_key(mod, tmp_path):
     path = tmp_path / "db.snapshot"
     save_replay_db(s.server, path)
     nonce = load_replay_db(path)[s.user_id]
-    assert nonce ^ message.masked_nonce == raw_hash(32, s.user_id, s.rc.master_secret)
+    assert Digest(nonce) ^ message.masked_nonce == raw_hash(32, s.user_id, s.rc.master_secret)
+
+
+@pytest.mark.parametrize("mod", [baseline, improved], ids=["baseline", "improved"])
+def test_a_server_restored_from_a_snapshot_refuses_the_last_login(mod, tmp_path):
+    # The restored map holds plain bytes and the server recovers a Digest
+    # from the resent login; the two must still compare equal.
+    s = make_setup(mod, seed=12)
+    message, _ = mod.login(s.hasher, s.card, s.user_id, s.password, s.biometric, s.rng)
+    mod.authenticate(s.hasher, s.server, message, s.rng)
+    path = tmp_path / "db.snapshot"
+    save_replay_db(s.server, path)
+    s.server = dataclasses.replace(s.server, replay_db=load_replay_db(path))
+    with pytest.raises(Rejected) as err:
+        mod.authenticate(s.hasher, s.server, message, s.rng)
+    assert err.value.reason is Reason.REPLAY
+    client_key, server_session, _ = exchange(mod, s)
+    assert client_key == server_session.session_key
 
 
 # --- snapshots ----------------------------------------------------------
@@ -499,7 +518,7 @@ def test_snapshot_clean_multi_chunk_file_loads_to_the_map(tmp_path, monkeypatch)
         monkeypatch.setattr(runtime, "_READ_BYTES", read_bytes)
         loaded = load_replay_db(path)
         assert loaded == db
-        assert all(type(nonce) is Digest for nonce in loaded.values())
+        assert all(type(nonce) is bytes for nonce in loaded.values())
 
 
 def test_snapshot_save_and_load_hold_less_than_half_the_file(tmp_path):
