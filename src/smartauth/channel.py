@@ -105,25 +105,22 @@ class AdversarialChannel:
 
     def transmit(self, sender: str, receiver: str, message):
         """Carry one message; returns what arrives."""
-        self.sent += 1
         self.captured.append(message)
-        fields = message_fields(message)
-        self.transcript.add(sender, "send", fields)
-        delivered = message
+        self.transcript.add(sender, "send", message_fields(message))
         if self.policy is not None and hasattr(message, self.policy.field):
-            delivered = tamper_message(message, self.policy.field, self.policy.bit_index)
+            message = tamper_message(message, self.policy.field, self.policy.bit_index)
             self._act(f"tamper:{self.policy.field}:bit{self.policy.bit_index}")
             self.policy = None  # one flip per scenario
-            fields = message_fields(delivered)
-        # An untouched message arrives with the fields it was sent with.
-        self.transcript.add(receiver, "receive", fields)
-        return delivered
+        return self._deliver(receiver, message)
 
     def replay(self, index: int, receiver: str):
         """Adversary re-delivers a previously captured message verbatim."""
-        message = self.captured[index]
-        self.sent += 1
         self._act(f"replay:{index}")
+        return self._deliver(receiver, self.captured[index])
+
+    def _deliver(self, receiver: str, message):
+        """Count one message on the wire and record it as it arrives."""
+        self.sent += 1
         self.transcript.add(receiver, "receive", message_fields(message))
         return message
 

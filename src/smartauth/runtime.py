@@ -49,10 +49,9 @@ LOCAL_REASONS = frozenset({Reason.BIOMETRIC_MISMATCH, Reason.WRONG_PASSWORD})
 class Rejected(Exception):
     """A protocol check failed; ``reason`` identifies the check."""
 
-    def __init__(self, reason: Reason, detail: str = "") -> None:
+    def __init__(self, reason: Reason) -> None:
         self.reason = reason
-        self.detail = detail
-        super().__init__(f"{reason.value}: {detail}" if detail else reason.value)
+        super().__init__(reason.value)
 
     @property
     def local(self) -> bool:
@@ -70,7 +69,7 @@ def check_id_format(identity: bytes) -> bool:
 def check_credentials(user_id: bytes, password: bytes, biometric: bytes) -> None:
     """Validate registration inputs; raises on malformed values."""
     if not check_id_format(user_id):
-        raise Rejected(Reason.BAD_ID_FORMAT, "identity fails the format check")
+        raise Rejected(Reason.BAD_ID_FORMAT)
     check_password(password)
     if not biometric:
         raise ValueError("biometric sample must be non-empty")
@@ -111,8 +110,7 @@ def replay_check_and_store(server: ServerState, user_id: bytes, nonce: Digest) -
     No entry or a different entry counts as fresh and the entry is
     stored or replaced; an identical entry leaves the database unchanged.
     """
-    seen = server.replay_db.get(user_id)
-    if seen is not None and seen == nonce:
+    if server.replay_db.get(user_id) == nonce:
         return False
     server.replay_db[user_id] = nonce
     return True

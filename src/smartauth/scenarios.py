@@ -129,8 +129,7 @@ class _Env:
 
 def _login_exchange(env: _Env, password: bytes) -> tuple[Digest, Digest]:
     """One full login through the channel; returns the client key and the server key."""
-    mod = env.mod
-    message, client_session = mod.login(
+    message, client_session = env.mod.login(
         env.card_hasher,
         env.card,
         env.user_id,
@@ -139,13 +138,9 @@ def _login_exchange(env: _Env, password: bytes) -> tuple[Digest, Digest]:
         env.rng,
         probe=env.probe("card"),
     )
-    delivered = env.channel.transmit("client", "server", message)
-    response, server_session = mod.authenticate(
-        env.server_hasher, env.server, delivered, env.rng, probe=env.probe("server")
-    )
-    env.transcript.add("server", "key-derived", (("session_key", server_session.session_key),))
+    response, server_key = _server_answers(env, env.channel.transmit("client", "server", message))
     delivered_response = env.channel.transmit("server", "client", response)
-    client_key = mod.verify_server(
+    client_key = env.mod.verify_server(
         env.client_hasher,
         client_session,
         env.card,
@@ -154,18 +149,24 @@ def _login_exchange(env: _Env, password: bytes) -> tuple[Digest, Digest]:
         probe=env.probe("client"),
     )
     env.transcript.add("client", "key-derived", (("session_key", client_key),))
-    return client_key, server_session.session_key
+    return client_key, server_key
+
+
+def _server_answers(env: _Env, message):
+    """The server authenticates a login that arrived; returns its response and its key."""
+    response, server_session = env.mod.authenticate(
+        env.server_hasher, env.server, message, env.rng, probe=env.probe("server")
+    )
+    env.transcript.add("server", "key-derived", (("session_key", server_session.session_key),))
+    return response, server_session.session_key
 
 
 def _replay_to_server(env: _Env, index: int) -> tuple[None, Digest]:
     """Adversary resends a captured login message to the server."""
-    message = env.channel.replay(index, "server")
-    _, server_session = env.mod.authenticate(
-        env.server_hasher, env.server, message, env.rng, probe=env.probe("server")
-    )
     # A stale replay, of a login older than the user's last one, passes the
     # freshness check: the server derives a key that no client holds.
-    return None, server_session.session_key
+    _, server_key = _server_answers(env, env.channel.replay(index, "server"))
+    return None, server_key
 
 
 def _change_password(env: _Env, old_password: bytes, new_password: bytes) -> None:

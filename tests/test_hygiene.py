@@ -62,9 +62,13 @@ def _scopes(tree: ast.AST) -> dict[ast.AST, str]:
 def test_each_decision_has_one_owner():
     """Only ``protocol`` names a ``hardened`` attribute, ``.hex()`` is called only
     where output is written: ``Event.render``, ``cli._text_report`` and ``Digest.__repr__``,
-    only ``runtime._escape_joined`` holds the snapshot's ``\\xhh`` escape literal, and the
-    identity bytes 0x21..0x7e are written once, as ``runtime.ID_BYTES``, in either spelling."""
+    only ``runtime._escape_joined`` holds the snapshot's ``\\xhh`` escape literal, the
+    identity bytes 0x21..0x7e are written once, as ``runtime.ID_BYTES``, in either spelling,
+    ``scenarios`` calls each scheme step once, and only ``AdversarialChannel._deliver``
+    writes a ``receive`` event."""
     hardened_readers, hex_callers, escapers, id_ranges = set(), set(), set(), []
+    steps = ("register", "login", "authenticate", "verify_server", "change_password")
+    scheme_calls, receive_writes = [], []
     for path in sorted((ROOT / "src" / "smartauth").glob("*.py")):
         text = path.read_text(encoding="utf-8")
         for spelling in ("range(0x21, 0x7f)", "\\x21-\\x7e"):  # in lowercased source
@@ -78,10 +82,17 @@ def test_each_decision_has_one_owner():
                 hex_callers.add(f"{path.stem}.{scopes[node]}")
             if isinstance(node, ast.Constant) and node.value == b"\\x%02x":
                 escapers.add(f"{path.stem}.{scopes[node]}")
+            if isinstance(node, ast.Call):
+                if path.stem == "scenarios" and getattr(node.func, "attr", None) in steps:
+                    scheme_calls.append(node.func.attr)
+                if any(isinstance(arg, ast.Constant) and arg.value == "receive" for arg in node.args):
+                    receive_writes.append(f"{path.stem}.{scopes[node]}")
     assert hardened_readers == {"protocol"}
     assert hex_callers == {"channel.Event.render", "cli._text_report", "hashing.Digest.__repr__"}
     assert escapers == {"runtime._escape_joined"}
     assert id_ranges == ["runtime"]
+    assert sorted(scheme_calls) == sorted(steps)
+    assert receive_writes == ["channel.AdversarialChannel._deliver"]
 
 
 def test_readme_code_names_exist():

@@ -203,6 +203,9 @@ def test_stale_replay_through_the_runner_lists_only_the_server_key(scheme):
     final = transcript.events[-1]
     assert (final.actor, final.kind, final.verdict) == ("run", "accept", "accept")
     assert final.fields == (("server_key", result.server_key),)
+    derived = transcript.events[-2]
+    assert (derived.actor, derived.kind) == ("server", "key-derived")
+    assert derived.fields == (("session_key", result.server_key),)
     report = _text_report(0, result, transcript).splitlines()
     assert [line for line in report if "session key" in line] == [
         f"server session key: {result.server_key.hex()}"
