@@ -115,8 +115,9 @@ class AdversarialChannel:
 
     def replay(self, index: int, receiver: str):
         """Adversary re-delivers a previously captured message verbatim."""
+        message = self.captured[index]  # a bad index raises before any event
         self._act(f"replay:{index}")
-        return self._deliver(receiver, self.captured[index])
+        return self._deliver(receiver, message)
 
     def _deliver(self, receiver: str, message):
         """Count one message on the wire and record it as it arrives."""

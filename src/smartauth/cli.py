@@ -2,8 +2,9 @@
 
 Exit codes: 0 when the observed outcome matches the scenario's expected
 outcome (for attack scenarios the expected outcome is the documented
-rejection), 1 on a mismatch, 2 on usage errors, such as a trial seed
-past 2**64-1 (which ``--seed`` could not rerun) or an unwritable ``--out``.
+rejection), 1 on a mismatch or when the reader closes stdout early, 2 on
+usage errors, such as a trial seed past 2**64-1 (which ``--seed`` could
+not rerun), an unwritable ``--out`` or an unwritable stdout.
 """
 
 from __future__ import annotations
@@ -114,15 +115,7 @@ def _write_trials(args, seeds: range, digest_size: int, out) -> int:
 def cmd_run(args, seed: int, digest_size: int) -> int:
     seeds = _seed_range(seed, args.trials)
     if args.out is None:
-        try:
-            return _write_trials(args, seeds, digest_size, sys.stdout)
-        except BrokenPipeError:
-            # The reader is gone (``run | head``): run no more trials, and
-            # point stdout at devnull so the exit flush raises nothing.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            return 1
+        return _write_trials(args, seeds, digest_size, sys.stdout)
     # Opened before the first trial, so an unwritable file fails at once; a
     # write that fails later (a full disk) is the same usage error.
     try:
@@ -219,6 +212,19 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    # Resolved even when ``diff --seeds`` makes the seed unused, so a bad
-    # SMARTAUTH_SEED is always an error.
-    return args.func(args, _resolve_seed(args.seed), HASH_CHOICES[args.hash])
+    try:
+        # Resolved even when ``diff --seeds`` makes the seed unused, so a bad
+        # SMARTAUTH_SEED is always an error.
+        code = args.func(args, _resolve_seed(args.seed), HASH_CHOICES[args.hash])
+        if sys.stdout is not None:  # None when fd 1 was closed at start
+            sys.stdout.flush()  # a buffered write fails here, not at exit
+        return code
+    except OSError as exc:
+        # The reader is gone (``run | head``) or stdout is full: run no more,
+        # and point stdout at devnull so the exit flush raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return 1
+        _usage_error(f"cannot write output: {exc}")

@@ -249,8 +249,22 @@ def test_run_format_does_not_leak_into_the_next_call(capsys):
     assert "expected verdict: accept; matched: 1/1" in second
 
 
+# A failed write to stdout ends every command the same way, whether each print
+# reaches the pipe at once or waits in the buffer for the flush in ``main``.
+STDOUT_MODES = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+
+
+def _child_env(unbuffered: bool) -> dict[str, str]:
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-def test_a_closed_pipe_leaks_no_descriptor():
+@STDOUT_MODES
+@pytest.mark.parametrize(
+    "argv", [["run", "--trials", "200"], ["diff", "--seed", "3"], ["cost"]], ids=["run", "diff", "cost"]
+)
+def test_a_closed_pipe_leaks_no_descriptor(argv, unbuffered):
     # The child's stdout is a pipe whose reader is already closed.
     script = (
         "import os, sys\n"
@@ -260,12 +274,13 @@ def test_a_closed_pipe_leaks_no_descriptor():
         "os.dup2(write_end, sys.stdout.fileno())\n"
         "os.close(write_end)\n"
         "before = len(os.listdir('/proc/self/fd'))\n"
-        "code = cli.main(['run', '--trials', '200'])\n"
+        f"code = cli.main({argv!r})\n"
         "after = len(os.listdir('/proc/self/fd'))\n"
         "print(code, after - before, file=sys.stderr)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env=_child_env(unbuffered),
     )
     assert proc.stderr.split() == ["1", "0"]
 
@@ -281,16 +296,41 @@ def test_module_entry_point_runs():
     assert "verdict: accept" in proc.stdout
 
 
-def test_a_closed_pipe_stops_run_without_a_traceback():
+@STDOUT_MODES
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [(["run", "--trials", "2000"], b"== trial 0 "), (["diff", "--seed", "3"], None), (["cost"], None)],
+    ids=["run", "diff", "cost"],
+)
+def test_a_closed_pipe_stops_run_without_a_traceback(argv, first_line, unbuffered):
     proc = subprocess.Popen(
-        [sys.executable, "-m", "smartauth", "run", "--trials", "2000"],
+        [sys.executable, "-m", "smartauth", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=_child_env(unbuffered),
     )
-    assert proc.stdout.readline().startswith(b"== trial 0 ")
+    # Without a line to read first, the reader is gone before the child's
+    # first write.
+    if first_line is not None:
+        assert proc.stdout.readline().startswith(first_line)
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@STDOUT_MODES
+@pytest.mark.parametrize("argv", [["run"], ["diff", "--seed", "3"], ["cost"]], ids=["run", "diff", "cost"])
+def test_a_full_stdout_is_a_usage_error(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "smartauth", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+            env=_child_env(unbuffered),
+        )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: cannot write output: ")
 
 
 # sha256 over the stdout and exit code of each command below, in order. It pins

@@ -64,9 +64,11 @@ def test_each_decision_has_one_owner():
     where output is written: ``Event.render``, ``cli._text_report`` and ``Digest.__repr__``,
     only ``runtime._escape_joined`` holds the snapshot's ``\\xhh`` escape literal, the
     identity bytes 0x21..0x7e are written once, as ``runtime.ID_BYTES``, in either spelling,
-    ``scenarios`` calls each scheme step once, and only ``AdversarialChannel._deliver``
-    writes a ``receive`` event."""
+    ``scenarios`` calls each scheme step once, only ``AdversarialChannel._deliver``
+    writes a ``receive`` event, and only ``cli.main`` decides what a failed write
+    to stdout means: it alone names ``BrokenPipeError`` and calls ``os.dup2``."""
     hardened_readers, hex_callers, escapers, id_ranges = set(), set(), set(), []
+    write_failure_owners = set()
     steps = ("register", "login", "authenticate", "verify_server", "change_password")
     scheme_calls, receive_writes = [], []
     for path in sorted((ROOT / "src" / "smartauth").glob("*.py")):
@@ -82,6 +84,10 @@ def test_each_decision_has_one_owner():
                 hex_callers.add(f"{path.stem}.{scopes[node]}")
             if isinstance(node, ast.Constant) and node.value == b"\\x%02x":
                 escapers.add(f"{path.stem}.{scopes[node]}")
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = ast.unparse(node)
+                if name in ("BrokenPipeError", "os.dup2"):
+                    write_failure_owners.add((name, f"{path.stem}.{scopes[node]}"))
             if isinstance(node, ast.Call):
                 if path.stem == "scenarios" and getattr(node.func, "attr", None) in steps:
                     scheme_calls.append(node.func.attr)
@@ -93,6 +99,7 @@ def test_each_decision_has_one_owner():
     assert id_ranges == ["runtime"]
     assert sorted(scheme_calls) == sorted(steps)
     assert receive_writes == ["channel.AdversarialChannel._deliver"]
+    assert write_failure_owners == {("BrokenPipeError", "cli.main"), ("os.dup2", "cli.main")}
 
 
 def test_readme_code_names_exist():

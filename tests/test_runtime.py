@@ -628,6 +628,11 @@ def test_replay_is_logged_and_counted():
     assert channel.sent == 2
     adversary_events = [e for e in transcript.events if e.kind == "adversary-action"]
     assert [e.verdict for e in adversary_events] == ["replay:0"]
+    # A message never captured is not replayed, and leaves no trace.
+    events = list(transcript.events)
+    with pytest.raises(IndexError):
+        channel.replay(1, "server")
+    assert (transcript.events, channel.sent) == (events, 2)
 
 
 def test_flip_bit_involutive_and_bounded():
