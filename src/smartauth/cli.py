@@ -2,7 +2,7 @@
 
 Exit codes: 0 when the observed outcome matches the scenario's expected
 outcome (for attack scenarios the expected outcome is the documented
-rejection), 1 on a mismatch or when the reader closes stdout early, 2 on
+rejection), 1 on a mismatch or a stdout closed early or at start, 2 on
 usage errors, such as a trial seed past 2**64-1 (which ``--seed`` could
 not rerun), an unwritable ``--out`` or an unwritable stdout.
 """
@@ -212,12 +212,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    if sys.stdout is None:  # fd 1 closed at start: a write fails as to a gone reader
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        # Like the standard streams, it leaves its descriptor to the process exit.
+        sys.stdout = open(write_end, "w", encoding="utf-8", closefd=False)
     try:
         # Resolved even when ``diff --seeds`` makes the seed unused, so a bad
         # SMARTAUTH_SEED is always an error.
         code = args.func(args, _resolve_seed(args.seed), HASH_CHOICES[args.hash])
-        if sys.stdout is not None:  # None when fd 1 was closed at start
-            sys.stdout.flush()  # a buffered write fails here, not at exit
+        sys.stdout.flush()  # a buffered write fails here, not at exit
         return code
     except OSError as exc:
         # The reader is gone (``run | head``) or stdout is full: run no more,

@@ -1,7 +1,7 @@
 """Digest arithmetic, unambiguous input framing, and counted hashing.
 
-Every protocol value is a fixed-width digest, and a digest is its bytes:
-``Digest`` subclasses ``bytes`` and adds only width-checked XOR.
+Every value the protocol computes (hashes, nonces, their XORs) is a
+``Digest``, made only here: a ``bytes`` that adds width-checked XOR.
 Multi-part hash inputs are framed with a 4-byte big-endian length prefix
 per part before hashing, so two different part lists can never collide by
 concatenation (``h(a, b)`` and ``h(ab)`` see different input bytes).  The

@@ -20,8 +20,6 @@ from itertools import islice
 from pathlib import Path
 from typing import NoReturn
 
-from .hashing import Digest
-
 MAX_ID_BYTES = 64
 MAX_SECRET_BYTES = 64
 
@@ -84,8 +82,8 @@ def check_password(password: bytes) -> None:
 class RegistrationCenter:
     """The trusted enrolment party; holds only the two long-term secrets."""
 
-    master_secret: Digest
-    shared_secret: Digest
+    master_secret: bytes
+    shared_secret: bytes
 
 
 @dataclass
@@ -95,24 +93,24 @@ class ServerState:
     ``master_secret`` and ``shared_secret`` never leave this process:
     they appear in no message and no transcript.  ``replay_db`` maps a
     user identity to the client nonce recovered from that user's last
-    accepted login; nonces are only compared, so a loaded one is ``bytes``.
+    accepted login, as plain ``bytes``, whether stored or loaded.
     """
 
-    master_secret: Digest
-    shared_secret: Digest
+    master_secret: bytes
+    shared_secret: bytes
     server_id: bytes
     replay_db: dict[bytes, bytes] = field(default_factory=dict)
 
 
-def replay_check_and_store(server: ServerState, user_id: bytes, nonce: Digest) -> bool:
+def replay_check_and_store(server: ServerState, user_id: bytes, nonce: bytes) -> bool:
     """Record the recovered nonce; False means a verbatim replay.
 
-    No entry or a different entry counts as fresh and the entry is
-    stored or replaced; an identical entry leaves the database unchanged.
+    No entry or a different entry counts as fresh and is stored, as plain
+    ``bytes``; an identical entry leaves the database unchanged.
     """
     if server.replay_db.get(user_id) == nonce:
         return False
-    server.replay_db[user_id] = nonce
+    server.replay_db[user_id] = bytes(nonce)
     return True
 
 
@@ -211,10 +209,10 @@ def save_replay_db(server: ServerState, path: "str | Path") -> None:
 def load_replay_db(path: "str | Path") -> dict[bytes, bytes]:
     """Parse a snapshot back into a replay map; strict, with line numbers.
 
-    Nonces load as plain ``bytes``: the server only compares them, and
-    the cyclic GC does not track ``bytes``; wrap one in ``Digest`` to XOR
-    it.  The file is read in chunks of lines of about ``_READ_BYTES``, so
-    memory beyond the map stays bounded.  A chunk is accepted only if
+    Nonces load as plain ``bytes``, the type a login stores: the server
+    only compares them, and the cyclic GC does not track ``bytes``.  The
+    file is read in chunks of lines of about ``_READ_BYTES``, so memory
+    beyond the map stays bounded.  A chunk is accepted only if
     ``_entry_lines``, the writer ``save_replay_db`` uses, gives back its
     exact bytes, its nonces have the first entry's width and its
     identities ascend strictly past the previous one.  Otherwise each line

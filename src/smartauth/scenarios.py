@@ -86,8 +86,8 @@ class _Env:
         self.wrong_password = self._distinct_secret(self.password)
         self.new_password = self._distinct_secret(self.password)
         self.biometric = self.master.randbytes(32)
-        master_secret = Digest(self.master.randbytes(digest_size))
-        shared_secret = Digest(self.master.randbytes(digest_size))
+        master_secret = self.master.randbytes(digest_size)
+        shared_secret = self.master.randbytes(digest_size)
         rc = RegistrationCenter(master_secret, shared_secret)
         self.server = ServerState(
             master_secret,
@@ -379,8 +379,8 @@ class CostReport:
 
     Counts cover the login and authentication phases only (both session
     key derivations included); registration and the biometric gate hash
-    are excluded.  Storage counts the digest-valued card fields; both
-    cards also hold the same 16-byte salt.
+    are excluded.  Storage counts the card fields declared ``Digest``;
+    both cards also hold the same 16-byte salt.
     """
 
     phases: dict[str, dict[str, int]]
@@ -410,5 +410,5 @@ def measure_costs(digest_size: int = SHA256_SIZE) -> CostReport:
             "authentication (server)": env.server_hasher.count,
             "authentication (client)": env.client_hasher.count,
         }
-        card_digests[scheme] = sum(isinstance(value, Digest) for value in vars(env.card).values())
+        card_digests[scheme] = sum(f.type == "Digest" for f in dataclass_fields(env.card))
     return CostReport(phases, card_digests)

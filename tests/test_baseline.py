@@ -218,7 +218,7 @@ def test_forced_nonces_reproduce_reference_equations():
     message, client_session = baseline.login(
         s.hasher, s.card, s.user_id, s.password, s.biometric, FixedRng(digests=[r_c])
     )
-    assert message.masked_nonce == client_session.identity_key ^ r_c
+    assert message.masked_nonce == xor_bytes(client_session.identity_key, r_c)
     response, server_session = baseline.authenticate(
         s.hasher, s.server, message, FixedRng(digests=[r_s])
     )

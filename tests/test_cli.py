@@ -318,6 +318,29 @@ def test_a_closed_pipe_stops_run_without_a_traceback(argv, first_line, unbuffere
     assert (proc.returncode, err) == (1, b"")
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["run"], 1), (["diff", "--seed", "3"], 1), (["cost"], 1), (["run", "--out", "{out}"], 0)],
+    ids=["run", "diff", "cost", "run-out"],
+)
+def test_a_stdout_closed_at_start_is_a_gone_reader(argv, code, tmp_path, capsys):
+    # The child closes fd 1 and then becomes the command, so ``sys.stdout`` is
+    # None from the start; only ``run --out`` writes nothing there.
+    out = tmp_path / "out.txt"
+    argv = [arg.format(out=out) for arg in argv]
+    launcher = (
+        "import os, sys\n"
+        "os.close(1)\n"
+        "os.execv(sys.executable, [sys.executable, '-m', 'smartauth', *sys.argv[1:]])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, *argv], stderr=subprocess.PIPE, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    if "--out" in argv:
+        assert out.read_text(encoding="utf-8") == run_cli(capsys, "run")[1]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @STDOUT_MODES
 @pytest.mark.parametrize("argv", [["run"], ["diff", "--seed", "3"], ["cost"]], ids=["run", "diff", "cost"])

@@ -65,10 +65,13 @@ def test_each_decision_has_one_owner():
     only ``runtime._escape_joined`` holds the snapshot's ``\\xhh`` escape literal, the
     identity bytes 0x21..0x7e are written once, as ``runtime.ID_BYTES``, in either spelling,
     ``scenarios`` calls each scheme step once, only ``AdversarialChannel._deliver``
-    writes a ``receive`` event, and only ``cli.main`` decides what a failed write
-    to stdout means: it alone names ``BrokenPipeError`` and calls ``os.dup2``."""
+    writes a ``receive`` event, only ``cli.main`` decides what a failed write
+    to stdout means: it alone names ``BrokenPipeError`` and calls ``os.dup2``,
+    and only ``hashing`` makes a ``Digest`` or checks that a value is one, while
+    ``runtime`` imports nothing from ``hashing``."""
     hardened_readers, hex_callers, escapers, id_ranges = set(), set(), set(), []
-    write_failure_owners = set()
+    write_failure_owners, hashing_importers = set(), set()
+    digest_makers, digest_checkers = set(), set()
     steps = ("register", "login", "authenticate", "verify_server", "change_password")
     scheme_calls, receive_writes = [], []
     for path in sorted((ROOT / "src" / "smartauth").glob("*.py")):
@@ -88,7 +91,14 @@ def test_each_decision_has_one_owner():
                 name = ast.unparse(node)
                 if name in ("BrokenPipeError", "os.dup2"):
                     write_failure_owners.add((name, f"{path.stem}.{scopes[node]}"))
+            if isinstance(node, ast.ImportFrom) and node.module == "hashing":
+                hashing_importers.add(path.stem)
             if isinstance(node, ast.Call):
+                if ast.unparse(node.func).rpartition(".")[2] == "Digest":
+                    digest_makers.add(path.stem)
+                checked = ast.unparse(node.args[1]) if ast.unparse(node.func) == "isinstance" else ""
+                if re.search(r"\bDigest\b", checked):
+                    digest_checkers.add(path.stem)
                 if path.stem == "scenarios" and getattr(node.func, "attr", None) in steps:
                     scheme_calls.append(node.func.attr)
                 if any(isinstance(arg, ast.Constant) and arg.value == "receive" for arg in node.args):
@@ -100,6 +110,8 @@ def test_each_decision_has_one_owner():
     assert sorted(scheme_calls) == sorted(steps)
     assert receive_writes == ["channel.AdversarialChannel._deliver"]
     assert write_failure_owners == {("BrokenPipeError", "cli.main"), ("os.dup2", "cli.main")}
+    assert (digest_makers, digest_checkers) == ({"hashing"}, {"hashing"})
+    assert "runtime" not in hashing_importers
 
 
 def test_readme_code_names_exist():
@@ -148,6 +160,16 @@ def test_readme_event_kinds_are_the_channel_event_kinds():
     listed = re.search(r"^`kind` is one of (.*?)\.", section, flags=re.DOTALL | re.MULTILINE)
     assert listed, "no kind list in the README's transcript format"
     assert re.findall(r"`([^`]+)`", listed.group(1)) == list(EVENT_KINDS)
+
+
+def test_readme_library_block_runs():
+    """The ``python`` block under README ``## Library use`` runs with its free names bound."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    secrets = {"master_secret": bytes(range(32)), "shared_secret": bytes(range(32, 64))}
+    exec(blocks[0], {**secrets, "thumb": b"thumbprint"})
 
 
 def test_readme_cost_block_is_the_command_output(capsys):

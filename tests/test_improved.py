@@ -253,7 +253,7 @@ def test_change_password_wrong_old_leaves_card_byte_identical():
 def test_change_password_updates_sealed_key_and_verifier_together():
     s = make_setup(improved, seed=27)
     new_password = b"fresh-password"
-    identity_key = s.card.sealed_key ^ s.card.verifier
+    identity_key = xor_bytes(s.card.sealed_key, s.card.verifier)
     new_card = improved.change_password(
         s.hasher, s.card, s.biometric, s.password, new_password
     )
@@ -261,7 +261,7 @@ def test_change_password_updates_sealed_key_and_verifier_together():
         s.hasher.hash_uncounted(new_card.salt, new_password), new_card.bio_template
     )
     assert new_card.verifier == expected_verifier
-    assert new_card.sealed_key == identity_key ^ expected_verifier
+    assert new_card.sealed_key == xor_bytes(identity_key, expected_verifier)
     # Old password is now rejected locally; the new one authenticates.
     with pytest.raises(Rejected) as err:
         improved.login(s.hasher, new_card, s.user_id, s.password, s.biometric, s.rng)

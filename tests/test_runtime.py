@@ -29,7 +29,7 @@ from smartauth import (
 from smartauth import runtime
 from smartauth.channel import flip_bit, message_fields, tamper_message
 
-from support import exchange, make_setup, raw_hash
+from support import exchange, make_setup, raw_hash, xor_bytes
 
 
 def _server(db=None):
@@ -123,19 +123,22 @@ def test_a_snapshot_and_the_last_login_give_the_identity_key(mod, tmp_path):
     path = tmp_path / "db.snapshot"
     save_replay_db(s.server, path)
     nonce = load_replay_db(path)[s.user_id]
-    assert Digest(nonce) ^ message.masked_nonce == raw_hash(32, s.user_id, s.rc.master_secret)
+    assert xor_bytes(nonce, message.masked_nonce) == raw_hash(32, s.user_id, s.rc.master_secret)
 
 
 @pytest.mark.parametrize("mod", [baseline, improved], ids=["baseline", "improved"])
 def test_a_server_restored_from_a_snapshot_refuses_the_last_login(mod, tmp_path):
-    # The restored map holds plain bytes and the server recovers a Digest
-    # from the resent login; the two must still compare equal.
+    # A login stores its nonce as plain bytes, the type the restored map
+    # holds, and the server recovers a Digest from the resent login; the
+    # two must still compare equal.
     s = make_setup(mod, seed=12)
     message, _ = mod.login(s.hasher, s.card, s.user_id, s.password, s.biometric, s.rng)
     mod.authenticate(s.hasher, s.server, message, s.rng)
+    stored = s.server.replay_db[s.user_id]
     path = tmp_path / "db.snapshot"
     save_replay_db(s.server, path)
     s.server = dataclasses.replace(s.server, replay_db=load_replay_db(path))
+    assert type(stored) is type(s.server.replay_db[s.user_id]) is bytes
     with pytest.raises(Rejected) as err:
         mod.authenticate(s.hasher, s.server, message, s.rng)
     assert err.value.reason is Reason.REPLAY
