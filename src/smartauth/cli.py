@@ -25,7 +25,6 @@ from .scenarios import (
     matches_expected,
     measure_costs,
     run_scenario,
-    verdict_class,
 )
 
 # The one table that names a digest width, in bytes.
@@ -91,7 +90,7 @@ def _text_report(trial: int, result: ScenarioResult, transcript) -> str:
 def _run_summary(args, matched: int) -> str:
     key = (args.scheme, args.scenario)
     tally = f"{matched}/{args.trials}"
-    lines = [f"expected verdict: {verdict_class(EXPECTED_VERDICTS[key])}; matched: {tally}"]
+    lines = [f"expected verdict: {EXPECTED_VERDICTS[key].partition(':')[0]}; matched: {tally}"]
     if key in SUMMARY_CAPTIONS:
         lines.append(f"{SUMMARY_CAPTIONS[key]}: {tally}")
     return "\n".join(lines) + "\n"
@@ -224,11 +223,15 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a buffered write fails here, not at exit
         return code
     except OSError as exc:
-        # The reader is gone (``run | head``) or stdout is full: run no more,
-        # and point stdout at devnull so the exit flush raises nothing.
+        # The reader is gone (``run | head``) or stdout is full: run no more, drain
+        # the buffer into devnull so no later flush raises, and restore stdout's fd.
+        saved = os.dup(sys.stdout.fileno())
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        sys.stdout.flush()
+        os.dup2(saved, sys.stdout.fileno())
         os.close(devnull)
+        os.close(saved)
         if isinstance(exc, BrokenPipeError):
             return 1
         _usage_error(f"cannot write output: {exc}")

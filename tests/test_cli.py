@@ -265,7 +265,8 @@ def _child_env(unbuffered: bool) -> dict[str, str]:
     "argv", [["run", "--trials", "200"], ["diff", "--seed", "3"], ["cost"]], ids=["run", "diff", "cost"]
 )
 def test_a_closed_pipe_leaks_no_descriptor(argv, unbuffered):
-    # The child's stdout is a pipe whose reader is already closed.
+    # The child's stdout is a pipe whose reader is already closed.  A second
+    # call meets the same gone reader: the first left fd 1 as it found it.
     script = (
         "import os, sys\n"
         "from smartauth import cli\n"
@@ -274,15 +275,16 @@ def test_a_closed_pipe_leaks_no_descriptor(argv, unbuffered):
         "os.dup2(write_end, sys.stdout.fileno())\n"
         "os.close(write_end)\n"
         "before = len(os.listdir('/proc/self/fd'))\n"
-        f"code = cli.main({argv!r})\n"
+        f"first = cli.main({argv!r})\n"
+        f"second = cli.main({argv!r})\n"
         "after = len(os.listdir('/proc/self/fd'))\n"
-        "print(code, after - before, file=sys.stderr)\n"
+        "print(first, second, after - before, file=sys.stderr)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
         env=_child_env(unbuffered),
     )
-    assert proc.stderr.split() == ["1", "0"]
+    assert proc.stderr.split() == ["1", "1", "0"]
 
 
 def test_module_entry_point_runs():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from smartauth import cli
 from smartauth.channel import EVENT_KINDS
-from smartauth.scenarios import EXPECTED_VERDICTS, SCENARIOS, SCHEMES, verdict_class
+from smartauth.scenarios import EXPECTED_VERDICTS, SCENARIOS, SCHEMES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -136,7 +136,7 @@ def test_readme_code_names_exist():
 
 def test_readme_scenario_table_matches_expected_verdicts():
     """The README's scenario table lists ``SCENARIOS`` in order, and each cell opens
-    with its expected verdict: the class, or ``class:reason``."""
+    with its ``EXPECTED_VERDICTS`` text."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Scenarios\n", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `([^`]+)` \| ([^|]+) \| ([^|]+) \|$", section, flags=re.MULTILINE)
@@ -144,9 +144,7 @@ def test_readme_scenario_table_matches_expected_verdicts():
     mismatches = []
     for scenario, *cells in rows:
         for scheme, cell in zip(SCHEMES, cells):
-            expected = EXPECTED_VERDICTS[(scheme, scenario)]
-            verdict = verdict_class(expected)
-            want = verdict if expected in (None, verdict) else f"{verdict}:{expected.value}"
+            want = EXPECTED_VERDICTS[(scheme, scenario)]
             first_word = cell.split()[0]
             if first_word != want:
                 mismatches.append((scheme, scenario, first_word, want))

@@ -6,6 +6,7 @@ import hashlib
 import pytest
 
 from smartauth import (
+    EXPECTED_VERDICTS,
     SCENARIOS,
     SCHEMES,
     Reason,
@@ -64,11 +65,17 @@ def test_matches_expected_truth_table(scheme, scenario, reason, matches):
 
 
 def test_reason_values_are_not_verdict_classes():
-    # ``matches_expected`` compares an expectation with both the reason and
-    # the verdict class, so the two name sets must never meet.
+    # A reason value never reads as a class, so a ``verdict=`` text has one
+    # reading, and each expectation is a class or ``class:reason`` for a
+    # reason of that class: ``matches_expected`` compares it with both the
+    # verdict text and the class of a run.
     classes = {verdict_class(reason) for reason in (None, *Reason)}
     assert classes == {"accept", "local-reject", "reject"}
     assert classes.isdisjoint(reason.value for reason in Reason)
+    for expected in EXPECTED_VERDICTS.values():
+        verdict, _, reason = expected.partition(":")
+        assert verdict in classes, expected
+        assert not reason or verdict_class(Reason(reason)) == verdict, expected
 
 
 @pytest.mark.parametrize("scheme,scenario", ALL_COMBOS)
